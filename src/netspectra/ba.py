@@ -33,8 +33,10 @@ class BAConfig:
     links_per_node: int
 
     def __post_init__(self) -> None:
-        if self.initial_nodes < 1:
-            raise ValueError(f"initial_nodes must be >= 1, got {self.initial_nodes}")
+        if self.initial_nodes < 2:
+            raise TooFewNodesError(
+                f"initial_nodes must be >= 2 for the seed wiring, got {self.initial_nodes}"
+            )
         if self.total_nodes < self.initial_nodes:
             raise ValueError(
                 f"total_nodes ({self.total_nodes}) must be >= initial_nodes "
@@ -67,7 +69,7 @@ def ba_initialize(initial_nodes: int, rng: np.random.Generator) -> Graph:
 
 def attachment_distribution(g: Graph) -> np.ndarray:
     """Probability of each node receiving a new link: degree over degree sum."""
-    degrees = np.asarray(g.degrees(), dtype=np.float64)
+    degrees = g.degree_array().astype(np.float64)
     total = degrees.sum()
     if total <= 0:
         raise ZeroDegreeSumError("attachment probabilities undefined: all degrees zero")
@@ -84,7 +86,7 @@ def select_targets(g: Graph, links: int, rng: np.random.Generator) -> set[int]:
     count = g.node_count
     if links >= count:
         return set(range(count))
-    weights = np.asarray(g.degrees(), dtype=np.float64)
+    weights = g.degree_array().astype(np.float64)
     chosen: set[int] = set()
     for _ in range(links):
         total = weights.sum()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 from pathlib import Path
@@ -90,6 +91,8 @@ def _write_json(path: Path, obj: object) -> None:
 
 def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {args.seed}")
         return args.seed
     seed = secrets.randbits(63)
     print(f"master seed (generated): {seed}")
@@ -139,6 +142,11 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
+        power = _power_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         text = args.path.read_text()
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
@@ -165,7 +173,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"degree cv: {_fmt(stats.cv)}")
 
     try:
-        result = power_iteration(g, _power_config(args))
+        result = power_iteration(g, power)
     except NotConvergedError as exc:
         best = exc.result
         print(f"spectral radius (not converged): {_fmt(best.spectral_radius)}")
@@ -195,8 +203,8 @@ def _summary_results(summary) -> dict:
 
 
 def cmd_ba(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     try:
+        seed = _resolve_seed(args)
         config = BAConfig(
             initial_nodes=args.initial,
             total_nodes=args.total,
@@ -258,8 +266,8 @@ def cmd_ba(args: argparse.Namespace) -> int:
 
 
 def cmd_ws(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     try:
+        seed = _resolve_seed(args)
         config = WSConfig(nodes_per_ring=args.ring, rewiring_probability=args.beta)
         power = _power_config(args)
         if args.runs < 1:
@@ -311,11 +319,13 @@ def cmd_ws(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     try:
+        seed = _resolve_seed(args)
         values = tuple(float(v) for v in args.values.split(",") if v.strip() != "")
         if not values:
             raise ValueError("at least one sweep value is required")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"sweep values must be finite, got {args.values}")
         power = _power_config(args)
         if args.model == "ba":
             if args.initial is None or args.total is None:

@@ -31,8 +31,12 @@ class ZeroMeanDegreeError(NetspectraError):
     """The graph has no edges, so degree-normalized quantities are undefined."""
 
 
-class TooFewNodesError(NetspectraError):
-    """The generator needs a larger node count."""
+class TooFewNodesError(NetspectraError, ValueError):
+    """The generator needs a larger node count.
+
+    Also a ValueError: a node count is a parameter value, so callers that
+    validate parameters catch it with the rest.
+    """
 
 
 class ZeroDegreeSumError(NetspectraError):

@@ -2,7 +2,10 @@
 
 Nodes are dense 0-based integer IDs assigned in creation order. Adjacency is
 kept as one neighbor set per node, so self-loops and parallel edges cannot be
-represented.
+represented. Next to the sets, the graph keeps the arrays the spectral solver
+and the degree statistics read, updated in place on every mutation: both
+directions of every edge as (source, destination) arc arrays, and the degree
+of every node.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from .errors import (
     DuplicateEdgeError,
@@ -22,21 +27,64 @@ from .errors import (
     ZeroMeanDegreeError,
 )
 
+_MIN_CAPACITY = 16
+
+
+def _grown(a: np.ndarray, needed: int) -> np.ndarray:
+    """``a`` itself if it holds ``needed`` entries, else a zero-padded copy
+    with at least double the capacity."""
+    if needed <= len(a):
+        return a
+    out = np.zeros(max(needed, 2 * len(a), _MIN_CAPACITY), dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
 
 class Graph:
     """Mutable undirected simple graph.
 
     Neighbor sets are symmetric at all times: ``v in g.neighbors(u)`` iff
     ``u in g.neighbors(v)``.
+
+    Edge ``i`` occupies arc slots ``2i`` (u to v) and ``2i + 1`` (v to u) of
+    the arrays returned by ``arcs``. Adding an edge appends its pair; removing
+    one moves the last pair into the freed slots, so arc order is insertion
+    order only until the first removal.
+
+    Connected components are tracked by union-find: an added edge merges two
+    components, and a removed edge splits one only if its endpoints no longer
+    reach each other, which is checked by search and then rebuilds the
+    union-find.
+
+    ``warm_vector`` is the last converged power-iteration iterate on this
+    graph while it was connected, or None. ``power_iteration`` starts the next
+    solve from it; a ``copy`` starts without one.
     """
 
-    __slots__ = ("_adj", "_edge_count")
+    __slots__ = (
+        "_adj",
+        "_edge_count",
+        "_src",
+        "_dst",
+        "_slot",
+        "_deg",
+        "_parent",
+        "_components",
+        "warm_vector",
+    )
 
     def __init__(self, node_count: int = 0) -> None:
         if node_count < 0:
             raise ValueError(f"node_count must be nonnegative, got {node_count}")
         self._adj: list[set[int]] = [set() for _ in range(node_count)]
         self._edge_count = 0
+        self._src = np.zeros(_MIN_CAPACITY, dtype=np.intp)
+        self._dst = np.zeros(_MIN_CAPACITY, dtype=np.intp)
+        self._slot: dict[tuple[int, int], int] = {}  # (low, high) -> edge index
+        self._deg = np.zeros(max(node_count, _MIN_CAPACITY), dtype=np.int64)
+        self._parent = list(range(node_count))
+        self._components = node_count
+        self.warm_vector: np.ndarray | None = None
 
     @property
     def node_count(self) -> int:
@@ -48,8 +96,12 @@ class Graph:
 
     def add_node(self) -> int:
         """Append an isolated node and return its ID (the previous node count)."""
+        node = len(self._adj)
         self._adj.append(set())
-        return len(self._adj) - 1
+        self._deg = _grown(self._deg, node + 1)
+        self._parent.append(node)
+        self._components += 1
+        return node
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < len(self._adj):
@@ -70,7 +122,17 @@ class Graph:
             raise DuplicateEdgeError(f"edge {u}-{v} already present")
         self._adj[u].add(v)
         self._adj[v].add(u)
-        self._edge_count += 1
+        i = self._edge_count
+        self._src = _grown(self._src, 2 * i + 2)
+        self._dst = _grown(self._dst, 2 * i + 2)
+        self._src[2 * i] = self._dst[2 * i + 1] = u
+        self._dst[2 * i] = self._src[2 * i + 1] = v
+        self._slot[(u, v) if u < v else (v, u)] = i
+        self._deg[u] += 1
+        self._deg[v] += 1
+        self._edge_count = i + 1
+        if self._union(u, v):
+            self._components -= 1
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete edge (u, v). Raises MissingEdgeError if it is not present."""
@@ -80,7 +142,53 @@ class Graph:
             raise MissingEdgeError(f"edge {u}-{v} not present")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._edge_count -= 1
+        i = self._slot.pop((u, v) if u < v else (v, u))
+        last = self._edge_count - 1
+        if i != last:
+            a = int(self._src[2 * last])
+            b = int(self._dst[2 * last])
+            self._src[2 * i] = self._dst[2 * i + 1] = a
+            self._dst[2 * i] = self._src[2 * i + 1] = b
+            self._slot[(a, b) if a < b else (b, a)] = i
+        self._deg[u] -= 1
+        self._deg[v] -= 1
+        self._edge_count = last
+        if not self._reaches(u, v):
+            self._parent = list(range(len(self._adj)))
+            for a, b in self._slot:
+                self._union(a, b)
+            self._components += 1
+
+    def _find(self, u: int) -> int:
+        parent = self._parent
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    def _union(self, u: int, v: int) -> bool:
+        """Join the components of u and v; False if they were one already."""
+        ru, rv = self._find(u), self._find(v)
+        if ru == rv:
+            return False
+        self._parent[ru] = rv
+        return True
+
+    def _reaches(self, u: int, v: int) -> bool:
+        """Whether a path joins u and v, by breadth-first search from u."""
+        seen = {u}
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in self._adj[a]:
+                    if b == v:
+                        return True
+                    if b not in seen:
+                        seen.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        return False
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
@@ -98,7 +206,21 @@ class Graph:
 
     def degrees(self) -> list[int]:
         """Degree sequence indexed by node ID."""
-        return [len(nbrs) for nbrs in self._adj]
+        return self.degree_array().tolist()
+
+    def degree_array(self) -> np.ndarray:
+        """Degree sequence as an int64 array view. Treat as read-only."""
+        return self._deg[: len(self._adj)]
+
+    def edge_components(self) -> int:
+        """Number of connected components that contain at least one edge."""
+        return self._components - int(np.count_nonzero(self.degree_array() == 0))
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Source and destination arrays of both directions of every edge
+        (2 * edge_count entries each), as views. Treat as read-only."""
+        k = 2 * self._edge_count
+        return self._src[:k], self._dst[:k]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
@@ -111,6 +233,12 @@ class Graph:
         g = Graph()
         g._adj = [set(nbrs) for nbrs in self._adj]
         g._edge_count = self._edge_count
+        g._src = self._src.copy()
+        g._dst = self._dst.copy()
+        g._slot = dict(self._slot)
+        g._deg = self._deg.copy()
+        g._parent = list(self._parent)
+        g._components = self._components
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -144,14 +272,22 @@ class DegreeStats:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    """Compute min/mean/max/population-SD of the degree sequence of ``g``."""
-    if g.node_count == 0:
+    """Compute min/mean/max/population-SD of the degree sequence of ``g``.
+
+    The variance comes from exact integer moments, (n*S2 - S1**2) / n**2 with
+    S1 and S2 the sums of degrees and squared degrees, so it is correctly
+    rounded and independent of node order.
+    """
+    n = g.node_count
+    if n == 0:
         raise EmptyGraphError("degree statistics need at least one node")
-    degs = g.degrees()
-    n = len(degs)
-    k_avg = sum(degs) / n
-    variance = math.fsum((d - k_avg) ** 2 for d in degs) / n
-    return DegreeStats(k_min=min(degs), k_max=max(degs), k_avg=k_avg, k_sd=math.sqrt(variance))
+    degs = g.degree_array()
+    s1 = 2 * g.edge_count
+    s2 = int(degs @ degs)
+    variance = (n * s2 - s1 * s1) / (n * n)
+    return DegreeStats(
+        k_min=int(degs.min()), k_max=int(degs.max()), k_avg=s1 / n, k_sd=math.sqrt(variance)
+    )
 
 
 _NODES_HEADER = re.compile(r"#\s*nodes:\s*(\d+)\s*$")

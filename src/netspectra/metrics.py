@@ -80,7 +80,7 @@ def snapshot(g: Graph, step: int, config: PowerIterationConfig | None = None) ->
         step=step,
         node_count=g.node_count,
         edge_count=g.edge_count,
-        lambda_ratio=spectral_radius_ratio(g, config),
+        lambda_ratio=spectral_radius_ratio(g, config, stats),
         cv=stats.cv,
     )
 

@@ -1,18 +1,28 @@
 """Spectral radius of the adjacency matrix by power iteration.
 
-The matrix itself is never materialized. Each multiply runs over the edge
-endpoint arrays with numpy bincount, so one iteration costs O(edges) and the
-memory footprint stays linear even for graphs with thousands of nodes.
+The matrix itself is never materialized. The graph keeps both directions of
+every edge as source/destination arc arrays, updated in place as it mutates,
+so one multiply is one gather and one bincount over them: O(edges) per
+iteration, with memory linear in the graph even at thousands of nodes.
+
+Evolution runs solve after every one-to-few edge change, and a change that
+small moves the principal eigenvector little. Each solve on a connected graph
+therefore starts from the graph's previous converged iterate, with nodes
+added since padded by its mean. A graph's first solve, and any solve on a
+disconnected graph, starts from the all-ones vector. Here a graph counts as
+connected when one component holds all its edges; isolated nodes do not
+count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyGraphError, NotConvergedError, ZeroMeanDegreeError
-from .graph import Graph, degree_stats
+from .graph import DegreeStats, Graph, degree_stats
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -30,8 +40,8 @@ class PowerIterationConfig:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -44,6 +54,9 @@ class SpectralResult:
     marks solves that only converged after shifting the matrix by +I (the
     shift widens the relative gap when the most negative eigenvalue is close
     to the radius in magnitude; the radius is recovered by subtracting 1).
+
+    ``iterations`` counts multiplies from the solve's starting vector: the
+    graph's previous converged iterate (a warm start) or the all-ones vector.
 
     ``principal_eigenvector`` is the final normalized iterate. The norms
     converge to the spectral radius for any graph, but on a bipartite graph
@@ -60,34 +73,23 @@ class SpectralResult:
     shifted: bool = False
 
 
-def _edge_endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    us = []
-    vs = []
-    for u, v in g.edges():
-        us.append(u)
-        vs.append(v)
-    return np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
-
-
 def _iterate(
-    us: np.ndarray,
-    vs: np.ndarray,
-    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    x: np.ndarray,
     config: PowerIterationConfig,
     shift: float,
 ) -> tuple[float, np.ndarray, int, bool, float]:
-    """Run the norm-convergence loop for A + shift*I; return raw results."""
-    x = np.ones(n, dtype=np.float64)
+    """Run the norm-convergence loop for A + shift*I from ``x``; return raw results."""
+    n = len(x)
     prev_norm = -1.0
-    residual = np.inf
+    residual = math.inf
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        y = np.bincount(us, weights=x[vs], minlength=n) + np.bincount(
-            vs, weights=x[us], minlength=n
-        )
+        y = np.bincount(dst, weights=x[src], minlength=n)
         if shift:
             y += shift * x
-        norm = float(np.linalg.norm(y))
+        norm = math.sqrt(y @ y)
         if norm == 0.0:
             # A annihilated the iterate: only possible with no edges at all,
             # where the radius is exactly zero.
@@ -98,16 +100,35 @@ def _iterate(
             if residual <= config.tolerance:
                 return norm, x, iterations, True, residual
         prev_norm = norm
-    return prev_norm, x, iterations, False, float(residual)
+    return prev_norm, x, iterations, False, residual
+
+
+def _start_vector(g: Graph, connected: bool) -> np.ndarray:
+    """The graph's last converged iterate, padded with its mean for nodes
+    added since; all-ones when the graph has none or is not connected."""
+    n = g.node_count
+    warm = g.warm_vector
+    if warm is None or not connected:
+        return np.ones(n, dtype=np.float64)
+    if len(warm) == n:
+        return warm
+    x = np.empty(n, dtype=np.float64)
+    x[: len(warm)] = warm
+    x[len(warm) :] = warm.mean()
+    return x
 
 
 def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> SpectralResult:
     """Largest adjacency eigenvalue of ``g`` and its eigenvector.
 
-    Starts from the all-ones vector and normalizes by the Euclidean norm each
-    step; the norms converge to the spectral radius. If the plain iteration
+    Starts from the graph's last converged iterate (``Graph.warm_vector``),
+    or from the all-ones vector on the graph's first solve and whenever the
+    graph is disconnected, and normalizes by the Euclidean norm each step;
+    the norms converge to the spectral radius. If the plain iteration
     exhausts its budget (norm oscillation on bipartite-like spectra), one
-    retry runs on A + I and the radius is the converged norm minus 1.
+    retry runs on A + I from the same start and the radius is the converged
+    norm minus 1. The converged iterate of a connected graph becomes its new
+    ``warm_vector``.
 
     Raises NotConvergedError, carrying the best unshifted result, if the
     retry fails too.
@@ -125,30 +146,43 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
             converged=True,
             residual=0.0,
         )
-    us, vs = _edge_endpoints(g)
+    src, dst = g.arcs()
+    # Isolated nodes aside, a disconnected graph's iterate fades on every
+    # component but the dominant one, so it is a poor start once another
+    # component overtakes: warm starts chain only across connected graphs.
+    connected = g.edge_components() == 1
+    x0 = _start_vector(g, connected)
 
-    radius, vec, iters, ok, residual = _iterate(us, vs, n, config, shift=0.0)
-    if ok:
-        return SpectralResult(radius, vec, iters, True, residual)
+    radius, vec, iters, ok, residual = _iterate(src, dst, x0, config, shift=0.0)
+    shifted = not ok
+    if shifted:
+        plain = SpectralResult(radius, vec, iters, False, residual)
+        radius, vec, iters, ok, residual = _iterate(src, dst, x0, config, shift=1.0)
+        if not ok:
+            raise NotConvergedError(
+                f"power iteration did not converge within {config.max_iterations} "
+                f"iterations (last residual {plain.residual:.3e})",
+                result=plain,
+            )
+        radius -= 1.0
+    g.warm_vector = vec.copy() if connected else None
+    return SpectralResult(radius, vec, iters, True, residual, shifted)
 
-    plain = SpectralResult(radius, vec, iters, False, residual)
-    radius, vec, iters, ok, residual = _iterate(us, vs, n, config, shift=1.0)
-    if ok:
-        return SpectralResult(radius - 1.0, vec, iters, True, residual, shifted=True)
-    raise NotConvergedError(
-        f"power iteration did not converge within {config.max_iterations} iterations "
-        f"(last residual {plain.residual:.3e})",
-        result=plain,
-    )
 
-
-def spectral_radius_ratio(g: Graph, config: PowerIterationConfig | None = None) -> float:
+def spectral_radius_ratio(
+    g: Graph,
+    config: PowerIterationConfig | None = None,
+    stats: DegreeStats | None = None,
+) -> float:
     """Spectral radius divided by mean degree.
 
-    For a regular graph with edges the adjacency radius equals the common
-    degree, so the ratio is returned as exactly 1.0 without iterating.
+    ``stats`` are the degree statistics of ``g`` as it stands, when the caller
+    has them already. For a regular graph with edges the adjacency radius
+    equals the common degree, so the ratio is returned as exactly 1.0 without
+    iterating.
     """
-    stats = degree_stats(g)
+    if stats is None:
+        stats = degree_stats(g)
     if stats.k_avg == 0:
         raise ZeroMeanDegreeError("spectral radius ratio undefined: graph has no edges")
     if stats.k_min == stats.k_max:

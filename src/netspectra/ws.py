@@ -117,9 +117,8 @@ def ws_rewire(
     for u, v in initial_edges(config.nodes_per_ring):
         if rng.random() > beta:
             continue
-        candidates = [
-            w for w in range(total) if w != u and w != v and not g.has_edge(u, w)
-        ]
+        taken = g.neighbors(u)
+        candidates = [w for w in range(total) if w != u and w != v and w not in taken]
         if not candidates:
             events.append(RewireEvent((u, v), None, len(events)))
             continue

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,46 @@ def test_generated_seed_is_printed(tmp_path, capsys):
     seed = int(get_field(out, "master seed (generated)"))
     summary = json.loads((tmp_path / "ws_summary.json").read_text())
     assert summary["master_seed"] == seed
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "netspectra", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+WS_SMALL = ["ws", "--ring", "5", "--beta", "0.5", "--seed", "1", "--max-iterations", "50"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [*WS_SMALL, "--tolerance", "nan"],
+        [*WS_SMALL, "--tolerance", "inf"],
+        [*WS_SMALL, "--tolerance", "0"],
+        [*WS_SMALL, "--tolerance", "-1"],
+        ["analyze", "graph.txt", "--tolerance", "nan"],
+        ["analyze", "graph.txt", "--max-iterations", "0"],
+        ["ba", "--initial", "1", "--total", "10", "--links", "2", "--seed", "1"],
+        ["ws", "--ring", "2", "--beta", "0.5", "--seed", "1"],
+        ["sweep", "--model", "ws", "--ring", "2", "--values", "0.5", "--seed", "1"],
+        ["ba", "--total", "10", "--links", "2", "--seed", "-5"],
+        ["ws", "--ring", "5", "--beta", "0.5", "--seed", "-5"],
+        ["sweep", "--model", "ba", "--initial", "3", "--total", "10", "--values", "inf",
+         "--seed", "1"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_bad_parameters_exit_1_with_one_line(tmp_path, args):
+    proc = run_cli(args, tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []  # nothing written

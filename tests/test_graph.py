@@ -14,6 +14,7 @@ from netspectra import (
     ZeroMeanDegreeError,
     degree_stats,
     parse_edge_list,
+    power_iteration,
     write_edge_list,
 )
 
@@ -91,14 +92,33 @@ def test_edges_sorted_and_unique():
 
 
 def test_copy_is_independent():
-    g = Graph(3)
-    g.add_edge(0, 1)
+    g = star_graph(6)
+    g.add_edge(1, 2)
+    cold = power_iteration(g)
+    src, dst = (a.copy() for a in g.arcs())
+    degs = g.degree_array().copy()
+    stats = degree_stats(g)
     h = g.copy()
     assert g == h
-    h.add_edge(1, 2)
+    assert h.warm_vector is None
+    assert power_iteration(h).iterations == cold.iterations  # a copy starts cold
+    h.add_edge(3, 4)
     assert g != h
-    assert g.edge_count == 1
-    assert h.edge_count == 2
+    assert g.edge_count == 6
+    assert h.edge_count == 7
+    h.remove_edge(0, 1)
+    h.add_edge(h.add_node(), 5)
+    power_iteration(h)
+    assert np.array_equal(g.arcs()[0], src)
+    assert np.array_equal(g.arcs()[1], dst)
+    assert np.array_equal(g.degree_array(), degs)
+    assert degree_stats(g) == stats
+    again = power_iteration(g.copy())
+    assert again.spectral_radius == cold.spectral_radius
+    assert np.array_equal(again.principal_eigenvector, cold.principal_eigenvector)
+    warm = power_iteration(g)  # from g's own last iterate, untouched by h
+    assert warm.iterations < cold.iterations
+    assert warm.spectral_radius == pytest.approx(cold.spectral_radius, abs=1e-10)
 
 
 def test_degree_stats_star():
@@ -262,3 +282,70 @@ def test_random_operation_sequence_keeps_invariants():
         assert a < b
         assert g.has_edge(b, a)
     assert {frozenset(e) for e in g.edges()} == mirror
+
+
+def _reference_degree_stats(degs):
+    # the two-pass population statistics the incremental moments replace
+    n = len(degs)
+    k_avg = sum(degs) / n
+    k_sd = math.sqrt(math.fsum((d - k_avg) ** 2 for d in degs) / n)
+    return min(degs), max(degs), k_avg, k_sd
+
+
+def test_incremental_arrays_track_random_mutations():
+    # arcs, degree array and component count against recomputation from the
+    # neighbor sets after every add, remove and node arrival
+    rng = np.random.default_rng(20240611)
+    g = Graph(5)
+    for _ in range(1500):
+        r = rng.random()
+        if r < 0.03:
+            g.add_node()
+        else:
+            u, v = (int(x) for x in rng.choice(g.node_count, size=2, replace=False))
+            if g.has_edge(u, v):
+                g.remove_edge(v, u)
+            elif r < 0.6:
+                g.add_edge(u, v)
+        src, dst = g.arcs()
+        both = sorted(list(g.edges()) + [(v, u) for u, v in g.edges()])
+        assert sorted(zip(src.tolist(), dst.tolist())) == both
+        assert g.degree_array().tolist() == g.degrees()
+        assert g.degrees() == [len(g.neighbors(u)) for u in range(g.node_count)]
+        k_min, k_max, k_avg, k_sd = _reference_degree_stats(g.degrees())
+        stats = degree_stats(g)
+        assert (stats.k_min, stats.k_max) == (k_min, k_max)
+        assert stats.k_avg == pytest.approx(k_avg, abs=1e-12)
+        assert stats.k_sd == pytest.approx(k_sd, abs=1e-12)
+        assert g.edge_components() == _edge_components_by_search(g)
+
+
+def _edge_components_by_search(g):
+    seen = set()
+    count = 0
+    for start in range(g.node_count):
+        if start in seen or not g.neighbors(start):
+            continue
+        count += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            for b in g.neighbors(stack.pop()):
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+    return count
+
+
+def test_edge_components_split_and_merge():
+    g = path_graph(4)
+    g.add_node()
+    assert g.edge_components() == 1  # isolated nodes do not count
+    g.remove_edge(1, 2)
+    assert g.edge_components() == 2
+    g.add_edge(0, 3)
+    assert g.edge_components() == 1
+    g.remove_edge(0, 1)  # leaves node 1 isolated, not a second component
+    assert g.edge_components() == 1
+    g.add_edge(1, 4)
+    assert g.edge_components() == 2

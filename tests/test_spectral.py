@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from netspectra import (
+    BAConfig,
     EmptyGraphError,
     Graph,
     NotConvergedError,
     PowerIterationConfig,
+    WSConfig,
     ZeroMeanDegreeError,
+    ba_evolve,
+    degree_stats,
     power_iteration,
     spectral_radius_ratio,
+    ws_initialize,
+    ws_rewire,
 )
 
 from helpers import (
@@ -150,6 +156,12 @@ def test_config_validation():
         PowerIterationConfig(max_iterations=0)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+def test_config_rejects_nonpositive_or_nonfinite_tolerance(tolerance):
+    with pytest.raises(ValueError):
+        PowerIterationConfig(tolerance=tolerance)
+
+
 def test_ratio_star():
     assert spectral_radius_ratio(star_graph(5)) == pytest.approx(1.25)
 
@@ -193,3 +205,58 @@ def test_densifying_a_path_raises_the_radius():
     widened.add_edge(0, 2)
     assert power_iteration(widened).spectral_radius > base + 1e-6
     assert power_iteration(star_graph(5)).spectral_radius > base + 1e-6
+
+
+class WarmVersusCold:
+    """Observer that solves each non-regular graph warm, as a run does, and a
+    fresh copy of it cold, recording the ratio gap and both iteration counts."""
+
+    def __init__(self):
+        self.gaps = []
+        self.warm_iterations = 0
+        self.cold_iterations = 0
+
+    def __call__(self, g):
+        stats = degree_stats(g)
+        if stats.k_min == stats.k_max:
+            return
+        warm = power_iteration(g)
+        cold = power_iteration(g.copy())
+        self.gaps.append(abs(warm.spectral_radius - cold.spectral_radius) / stats.k_avg)
+        self.warm_iterations += warm.iterations
+        self.cold_iterations += cold.iterations
+
+    def verify(self):
+        assert len(self.gaps) > 50
+        assert max(self.gaps) <= 1e-9
+        assert self.warm_iterations < self.cold_iterations
+
+
+@pytest.mark.parametrize("initial_nodes, seed", [(3, 11), (10, 12)])
+def test_warm_start_agrees_with_cold_start_ba(initial_nodes, seed):
+    check = WarmVersusCold()
+    config = BAConfig(initial_nodes, 300, 2)
+    ba_evolve(config, np.random.default_rng(seed), lambda step, g: check(g))
+    check.verify()
+
+
+@pytest.mark.parametrize("beta, seed", [(0.5, 13), (1.0, 14)])
+def test_warm_start_agrees_with_cold_start_ws(beta, seed):
+    check = WarmVersusCold()
+    config = WSConfig(50, beta)
+    ws_rewire(ws_initialize(config), config, np.random.default_rng(seed), lambda e, g: check(g))
+    check.verify()
+
+
+def test_solve_after_minor_component_overtakes():
+    # A star grows to 10 leaves beside a 4-leaf star, whose share of the
+    # iterate fades with every solve; then the small star's leaves are
+    # closed into a cycle, making it a wheel of radius 1 + sqrt(5) > sqrt(10).
+    # A start taken from the earlier iterates would stop at sqrt(10).
+    g = disjoint_union(star_graph(6), star_graph(5))
+    for leaves in range(6, 11):
+        g.add_edge(g.add_node(), 0)
+        assert power_iteration(g).spectral_radius == pytest.approx(math.sqrt(leaves), abs=1e-8)
+    for u, v in ((7, 8), (8, 9), (9, 10), (10, 7)):
+        g.add_edge(u, v)
+    assert power_iteration(g).spectral_radius == pytest.approx(1 + math.sqrt(5), abs=1e-6)
