@@ -5,7 +5,7 @@ the coefficient of variation of the degree sequence, measured while a network
 grows by preferential attachment or is rewired from a regular lattice.
 """
 
-from .ba import BAConfig, attachment_distribution, ba_evolve, ba_initialize, select_targets
+from .ba import BAConfig, ba_evolve, ba_initialize, select_targets
 from .errors import (
     ConstantSeriesError,
     DuplicateEdgeError,
@@ -24,23 +24,17 @@ from .errors import (
 )
 from .experiment import (
     RNG_NAME,
-    ExperimentConfig,
-    RunSeed,
     SweepRow,
     derive_seed,
     run_ba_condition,
-    run_ba_series,
-    run_ba_table,
-    run_seeds,
+    run_sweep,
     run_ws_condition,
-    run_ws_series,
-    run_ws_sweep,
 )
 from .graph import DegreeStats, Graph, degree_stats, parse_edge_list, write_edge_list
 from .metrics import (
     AveragedSummary,
     EvolutionRecord,
-    TimeSeries,
+    Series,
     average_runs,
     pearson,
     run_correlations,
@@ -53,7 +47,7 @@ from .spectral import (
     power_iteration,
     spectral_radius_ratio,
 )
-from .ws import RewireEvent, WSConfig, initial_edges, ws_initialize, ws_rewire
+from .ws import RewireEvent, WSConfig, initial_edges, ws_evolve, ws_initialize, ws_rewire
 
 __version__ = "0.1.0"
 
@@ -66,7 +60,6 @@ __all__ = [
     "EdgeListParseError",
     "EmptyGraphError",
     "EvolutionRecord",
-    "ExperimentConfig",
     "Graph",
     "LengthMismatchError",
     "MissingEdgeError",
@@ -76,17 +69,15 @@ __all__ = [
     "PowerIterationConfig",
     "RNG_NAME",
     "RewireEvent",
-    "RunSeed",
     "SelfLoopError",
+    "Series",
     "SpectralResult",
     "StepMismatchError",
     "SweepRow",
-    "TimeSeries",
     "TooFewNodesError",
     "WSConfig",
     "ZeroDegreeSumError",
     "ZeroMeanDegreeError",
-    "attachment_distribution",
     "average_runs",
     "ba_evolve",
     "ba_initialize",
@@ -97,18 +88,15 @@ __all__ = [
     "pearson",
     "power_iteration",
     "run_ba_condition",
-    "run_ba_series",
-    "run_ba_table",
     "run_correlations",
-    "run_seeds",
+    "run_sweep",
     "run_ws_condition",
-    "run_ws_series",
-    "run_ws_sweep",
     "select_targets",
     "snapshot",
     "spectral_radius_ratio",
     "summarize_final",
     "write_edge_list",
+    "ws_evolve",
     "ws_initialize",
     "ws_rewire",
 ]

@@ -67,15 +67,6 @@ def ba_initialize(initial_nodes: int, rng: np.random.Generator) -> Graph:
     return g
 
 
-def attachment_distribution(g: Graph) -> np.ndarray:
-    """Probability of each node receiving a new link: degree over degree sum."""
-    degrees = g.degree_array().astype(np.float64)
-    total = degrees.sum()
-    if total <= 0:
-        raise ZeroDegreeSumError("attachment probabilities undefined: all degrees zero")
-    return degrees / total
-
-
 def select_targets(g: Graph, links: int, rng: np.random.Generator) -> set[int]:
     """Choose attachment targets among the current nodes of ``g``.
 

@@ -7,19 +7,21 @@ across a list of parameter values. Experiment commands write CSV and JSON
 into the output directory; given the same flags and seed they write the same
 bytes.
 
-Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input file,
-3 power iteration failed to converge.
+Exit codes: 0 success, 1 usage error or unwritable output, 2 unreadable or
+malformed input file, 3 power iteration failed to converge. ``main`` maps
+every error to its code and prints it as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
+import os
 import secrets
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ba import BAConfig
 from .errors import (
@@ -28,15 +30,9 @@ from .errors import (
     NotConvergedError,
     SelfLoopError,
 )
-from .experiment import (
-    RNG_NAME,
-    ExperimentConfig,
-    run_ba_condition,
-    run_ba_table,
-    run_ws_condition,
-    run_ws_sweep,
-)
+from .experiment import RNG_NAME, SweepRow, run_ba_condition, run_sweep, run_ws_condition
 from .graph import degree_stats, parse_edge_list
+from .metrics import EvolutionRecord
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -59,6 +55,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _InputError(Exception):
+    """The input file cannot be read or parsed; the message names the file."""
+
+
 def _fmt(x: float) -> str:
     """Shortest decimal that round-trips; always at least full precision."""
     return repr(float(x))
@@ -72,31 +72,52 @@ def _csv_cell(x: float | int | None) -> str:
     return _fmt(x)
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(cell) for cell in row))  # type: ignore[arg-type]
-    _write_text(path, "\n".join(lines) + "\n")
+    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, obj: object) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+def _json(
+    head: dict, args: argparse.Namespace, seed: int, power: PowerIterationConfig, tail: dict
+) -> str:
+    """Summary JSON: ``head``, the settings every experiment echoes, ``tail``."""
+    doc = {
+        **head,
+        "runs": args.runs,
+        "master_seed": seed,
+        "rng": RNG_NAME,
+        "power": dataclasses.asdict(power),
+        **tail,
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {args.seed}")
-        return args.seed
-    seed = secrets.randbits(63)
-    print(f"master seed (generated): {seed}")
-    return seed
+def _write_text(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename it
+    into place, so ``path`` never holds a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _finish(out: Path, files: dict[str, str], report: list[str]) -> int:
+    """Write every output file, then print the report and the paths written."""
+    paths = [out / name for name in files]
+    for path, text in zip(paths, files.values()):
+        _write_text(path, text)
+    for line in report + [f"wrote {path}" for path in paths]:
+        print(line)
+    return EXIT_OK
+
+
+def _corr(x: float | None) -> str:
+    return "undefined" if x is None else format(x, ".6g")
 
 
 def _power_config(args: argparse.Namespace) -> PowerIterationConfig:
@@ -105,8 +126,21 @@ def _power_config(args: argparse.Namespace) -> PowerIterationConfig:
     )
 
 
-def _power_json(power: PowerIterationConfig) -> dict:
-    return {"tolerance": power.tolerance, "max_iterations": power.max_iterations}
+def _experiment_args(args: argparse.Namespace) -> tuple[int, PowerIterationConfig]:
+    """Master seed and solver settings of an experiment command, with
+    ``--runs`` checked. Omitting ``--seed`` draws a fresh seed and prints it
+    on stdout.
+    """
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
+    power = _power_config(args)
+    if args.runs < 1:
+        raise ValueError(f"runs must be >= 1, got {args.runs}")
+    seed = args.seed
+    if seed is None:
+        seed = secrets.randbits(63)
+        print(f"master seed (generated): {seed}")
+    return seed, power
 
 
 def _add_power_flags(p: argparse.ArgumentParser) -> None:
@@ -141,24 +175,17 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        power = _power_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    power = _power_config(args)
     try:
         text = args.path.read_text()
-    except OSError as exc:
-        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(f"cannot read {args.path}: {exc}") from exc
     try:
         g = parse_edge_list(text)
     except (EdgeListParseError, SelfLoopError, DuplicateEdgeError) as exc:
-        print(f"{args.path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError(f"{args.path}: {exc}") from exc
     if g.node_count == 0:
-        print(f"{args.path}: graph has no nodes", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError(f"{args.path}: graph has no nodes")
 
     stats = degree_stats(g)
     print(f"nodes: {g.node_count}")
@@ -179,8 +206,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"spectral radius (not converged): {_fmt(best.spectral_radius)}")
         print(f"iterations: {best.iterations}")
         print(f"residual: {_fmt(best.residual)}")
-        print("power iteration did not converge", file=sys.stderr)
-        return EXIT_NOCONVERGE
+        raise
 
     if stats.k_min == stats.k_max:
         ratio = 1.0  # regular graph: radius equals the common degree
@@ -194,228 +220,84 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _summary_results(summary) -> dict:
-    return {
+def cmd_run(args: argparse.Namespace) -> int:
+    """``ba`` and ``ws``: one condition's time series and cross-run means."""
+    seed, power = _experiment_args(args)
+    config: BAConfig | WSConfig
+    if args.command == "ba":
+        config = BAConfig(
+            initial_nodes=args.initial, total_nodes=args.total, links_per_node=args.links
+        )
+        label = f"n0={config.initial_nodes} n={config.total_nodes} m={config.links_per_node}"
+        summary, series = run_ba_condition(config, args.runs, seed, power)
+    else:
+        config = WSConfig(nodes_per_ring=args.ring, rewiring_probability=args.beta)
+        label = f"ring={config.nodes_per_ring} beta={config.rewiring_probability}"
+        summary, series = run_ws_condition(config, args.runs, seed, power)
+
+    # Rewiring runs differ in length and have no per-step means, so their
+    # time series file holds the first run only; the JSON carries the
+    # cross-run means either way.
+    table = series[0] if summary.per_step is None else summary.per_step
+    results = {
         "mean_lambda_ratio": summary.mean_lambda_ratio,
         "mean_cv": summary.mean_cv,
         "mean_correlation": summary.mean_correlation,
     }
-
-
-def cmd_ba(args: argparse.Namespace) -> int:
-    try:
-        seed = _resolve_seed(args)
-        config = BAConfig(
-            initial_nodes=args.initial,
-            total_nodes=args.total,
-            links_per_node=args.links,
-        )
-        power = _power_config(args)
-        if args.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {args.runs}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        summary, _ = run_ba_condition(config, args.runs, seed, power)
-    except NotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONVERGE
-
-    assert summary.steps is not None
-    rows = list(
-        zip(
-            summary.steps,
-            summary.mean_node_counts,
-            summary.mean_edge_counts,
-            summary.mean_lambda_ratios,
-            summary.mean_cvs,
-        )
-    )
-    csv_path = args.out / "ba_timeseries.csv"
-    _write_csv(csv_path, ("step", "node_count", "edge_count", "lambda_ratio", "cv"), rows)
-    json_path = args.out / "ba_summary.json"
-    _write_json(
-        json_path,
-        {
-            "model": "ba",
-            "config": {
-                "initial_nodes": config.initial_nodes,
-                "total_nodes": config.total_nodes,
-                "links_per_node": config.links_per_node,
-            },
-            "runs": args.runs,
-            "master_seed": seed,
-            "rng": RNG_NAME,
-            "power": _power_json(power),
-            "results": _summary_results(summary),
-        },
-    )
-    print(
-        f"ba: n0={config.initial_nodes} n={config.total_nodes} m={config.links_per_node} "
-        f"runs={args.runs} seed={seed}"
-    )
-    print(f"mean lambda ratio: {summary.mean_lambda_ratio:.6g}")
-    print(f"mean cv: {summary.mean_cv:.6g}")
-    corr = summary.mean_correlation
-    print(f"mean correlation: {'undefined' if corr is None else format(corr, '.6g')}")
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    return EXIT_OK
-
-
-def cmd_ws(args: argparse.Namespace) -> int:
-    try:
-        seed = _resolve_seed(args)
-        config = WSConfig(nodes_per_ring=args.ring, rewiring_probability=args.beta)
-        power = _power_config(args)
-        if args.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {args.runs}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        summary, series = run_ws_condition(config, args.runs, seed, power)
-    except NotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONVERGE
-
-    # Rewiring runs differ in length, so the time series file holds the first
-    # run only; the JSON carries the cross-run means.
-    rows = [
-        (r.step, r.node_count, r.edge_count, r.lambda_ratio, r.cv) for r in series[0]
+    head = {"model": args.command, "config": dataclasses.asdict(config)}
+    files = {
+        f"{args.command}_timeseries.csv": _csv(
+            [f.name for f in dataclasses.fields(EvolutionRecord)], table.rows()
+        ),
+        f"{args.command}_summary.json": _json(head, args, seed, power, {"results": results}),
+    }
+    report = [
+        f"{args.command}: {label} runs={args.runs} seed={seed}",
+        f"mean lambda ratio: {summary.mean_lambda_ratio:.6g}",
+        f"mean cv: {summary.mean_cv:.6g}",
+        f"mean correlation: {_corr(summary.mean_correlation)}",
     ]
-    csv_path = args.out / "ws_timeseries.csv"
-    _write_csv(csv_path, ("step", "node_count", "edge_count", "lambda_ratio", "cv"), rows)
-    json_path = args.out / "ws_summary.json"
-    _write_json(
-        json_path,
-        {
-            "model": "ws",
-            "config": {
-                "nodes_per_ring": config.nodes_per_ring,
-                "rewiring_probability": config.rewiring_probability,
-            },
-            "runs": args.runs,
-            "master_seed": seed,
-            "rng": RNG_NAME,
-            "power": _power_json(power),
-            "results": _summary_results(summary),
-        },
-    )
-    print(
-        f"ws: ring={config.nodes_per_ring} beta={config.rewiring_probability} "
-        f"runs={args.runs} seed={seed}"
-    )
-    print(f"mean lambda ratio: {summary.mean_lambda_ratio:.6g}")
-    print(f"mean cv: {summary.mean_cv:.6g}")
-    corr = summary.mean_correlation
-    print(f"mean correlation: {'undefined' if corr is None else format(corr, '.6g')}")
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    return EXIT_OK
+    return _finish(args.out, files, report)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        seed = _resolve_seed(args)
-        values = tuple(float(v) for v in args.values.split(",") if v.strip() != "")
-        if not values:
-            raise ValueError("at least one sweep value is required")
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"sweep values must be finite, got {args.values}")
-        power = _power_config(args)
-        if args.model == "ba":
-            if args.initial is None or args.total is None:
-                raise ValueError("model 'ba' needs --initial and --total")
-            base = BAConfig(
-                initial_nodes=args.initial,
-                total_nodes=args.total,
-                links_per_node=max(1, int(values[0])),
-            )
-            config = ExperimentConfig(
-                model="ba",
-                runs=args.runs,
-                master_seed=seed,
-                ba=base,
-                sweep=values,
-                power=power,
-            )
-        else:
-            if args.ring is None:
-                raise ValueError("model 'ws' needs --ring")
-            base = WSConfig(nodes_per_ring=args.ring, rewiring_probability=0.0)
-            config = ExperimentConfig(
-                model="ws",
-                runs=args.runs,
-                master_seed=seed,
-                ws=base,
-                sweep=values,
-                power=power,
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    """``sweep``: one condition per value of the swept parameter, a row each.
 
-    try:
-        rows = run_ba_table(config) if args.model == "ba" else run_ws_sweep(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONVERGE
+    The base config's swept field holds a placeholder that ``run_sweep``
+    replaces per condition, so the echoed config leaves it out.
+    """
+    seed, power = _experiment_args(args)
+    values = tuple(float(v) for v in args.values.split(",") if v.strip() != "")
+    base: BAConfig | WSConfig
+    if args.model == "ba":
+        if args.initial is None or args.total is None:
+            raise ValueError("model 'ba' needs --initial and --total")
+        base = BAConfig(initial_nodes=args.initial, total_nodes=args.total, links_per_node=1)
+        swept = "links_per_node"
+    else:
+        if args.ring is None:
+            raise ValueError("model 'ws' needs --ring")
+        base = WSConfig(nodes_per_ring=args.ring, rewiring_probability=0.0)
+        swept = "rewiring_probability"
+    rows = run_sweep(base, values, args.runs, seed, power)
 
-    csv_rows = [
-        (row.param, row.mean_lambda_ratio, row.mean_cv, row.mean_correlation, row.runs)
+    config = {k: v for k, v in dataclasses.asdict(base).items() if k != swept}
+    head = {"model": args.model, "config": config, "sweep": list(values)}
+    tail = {"rows": [dataclasses.asdict(row) for row in rows]}
+    files = {
+        f"sweep_{args.model}.csv": _csv(
+            [f.name for f in dataclasses.fields(SweepRow)],
+            (dataclasses.astuple(row) for row in rows),
+        ),
+        f"sweep_{args.model}_summary.json": _json(head, args, seed, power, tail),
+    }
+    report = [f"sweep: model={args.model} values={args.values} runs={args.runs} seed={seed}"]
+    report += [
+        f"  param={row.param:g} mean_lambda_ratio={row.mean_lambda_ratio:.6g} "
+        f"mean_cv={row.mean_cv:.6g} mean_correlation={_corr(row.mean_correlation)}"
         for row in rows
     ]
-    csv_path = args.out / f"sweep_{args.model}.csv"
-    _write_csv(
-        csv_path,
-        ("param", "mean_lambda_ratio", "mean_cv", "mean_correlation", "runs"),
-        csv_rows,
-    )
-    json_path = args.out / f"sweep_{args.model}_summary.json"
-    model_cfg: dict
-    if args.model == "ba":
-        model_cfg = {"initial_nodes": args.initial, "total_nodes": args.total}
-    else:
-        model_cfg = {"nodes_per_ring": args.ring}
-    _write_json(
-        json_path,
-        {
-            "model": args.model,
-            "config": model_cfg,
-            "sweep": list(values),
-            "runs": args.runs,
-            "master_seed": seed,
-            "rng": RNG_NAME,
-            "power": _power_json(power),
-            "rows": [
-                {
-                    "param": row.param,
-                    "mean_lambda_ratio": row.mean_lambda_ratio,
-                    "mean_cv": row.mean_cv,
-                    "mean_correlation": row.mean_correlation,
-                    "runs": row.runs,
-                }
-                for row in rows
-            ],
-        },
-    )
-    print(f"sweep: model={args.model} values={args.values} runs={args.runs} seed={seed}")
-    for row in rows:
-        corr = "undefined" if row.mean_correlation is None else format(row.mean_correlation, ".6g")
-        print(
-            f"  param={row.param:g} mean_lambda_ratio={row.mean_lambda_ratio:.6g} "
-            f"mean_cv={row.mean_cv:.6g} mean_correlation={corr}"
-        )
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    return EXIT_OK
+    return _finish(args.out, files, report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ba.add_argument("--links", type=int, required=True, help="links added per new node")
     _add_run_flags(p_ba)
     _add_power_flags(p_ba)
-    p_ba.set_defaults(func=cmd_ba)
+    p_ba.set_defaults(func=cmd_run)
 
     p_ws = sub.add_parser("ws", help="rewire double-ring lattices and track the ratio")
     p_ws.add_argument("--ring", type=int, required=True, help="nodes per ring")
     p_ws.add_argument("--beta", type=float, required=True, help="rewiring probability")
     _add_run_flags(p_ws)
     _add_power_flags(p_ws)
-    p_ws.set_defaults(func=cmd_ws)
+    p_ws.set_defaults(func=cmd_run)
 
     p_sw = sub.add_parser("sweep", help="run one model across several parameter values")
     p_sw.add_argument("--model", choices=("ba", "ws"), required=True)
@@ -463,9 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    # The one map from errors to exit codes; each is reported in one line.
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        message, code = str(exc), EXIT_INPUT
+    except NotConvergedError as exc:
+        message, code = f"error: {exc}", EXIT_NOCONVERGE
+    except ValueError as exc:
+        message, code = f"error: {exc}", EXIT_USAGE
+    except OSError as exc:
+        message, code = f"error: cannot write output: {exc}", EXIT_USAGE
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

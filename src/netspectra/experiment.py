@@ -1,5 +1,9 @@
 """Seeded multi-run experiments over the growth and rewiring models.
 
+Both models evolve through one protocol, ``evolve(config, rng, observer)``,
+which reports the starting graph and every later step to the observer; one
+runner turns a condition into one ``Series`` of snapshots per run.
+
 Reproducibility scheme: one master seed per experiment. Every run gets its
 own generator seeded from the master through a spawn key, so runs are
 independent streams, insensitive to execution order, and any single run can
@@ -10,14 +14,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .ba import BAConfig, ba_evolve
 from .graph import Graph
-from .metrics import AveragedSummary, TimeSeries, average_runs, snapshot, summarize_final
+from .metrics import AveragedSummary, Series, average_runs, snapshot, summarize_final
 from .spectral import PowerIterationConfig
-from .ws import RewireEvent, WSConfig, ws_initialize, ws_rewire
+from .ws import WSConfig, ws_evolve
 
 RNG_NAME = "numpy-PCG64"
 
@@ -28,89 +33,21 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class RunSeed:
-    run_index: int
-    derived_seed: int
-
-
-def run_seeds(master_seed: int, runs: int) -> list[RunSeed]:
-    """The per-run seeds an experiment with this master seed will use."""
-    return [RunSeed(i, derive_seed(master_seed, i)) for i in range(runs)]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A full experiment: model choice, parameters, replication, seeding.
-
-    Exactly one of ``ba``/``ws`` must be set, matching ``model``. ``sweep``
-    optionally lists parameter values (links per node for growth, rewiring
-    probability for the lattice) to run as separate conditions.
-    """
-
-    model: str
-    runs: int
-    master_seed: int
-    ba: BAConfig | None = None
-    ws: WSConfig | None = None
-    sweep: tuple[float, ...] | None = None
-    power: PowerIterationConfig = PowerIterationConfig()
-
-    def __post_init__(self) -> None:
-        if self.model not in ("ba", "ws"):
-            raise ValueError(f"model must be 'ba' or 'ws', got {self.model!r}")
-        if self.model == "ba" and self.ba is None:
-            raise ValueError("model 'ba' needs a BAConfig")
-        if self.model == "ws" and self.ws is None:
-            raise ValueError("model 'ws' needs a WSConfig")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
-        if self.sweep is not None and len(self.sweep) == 0:
-            raise ValueError("sweep must list at least one value")
-
-
-def run_ba_series(
-    config: BAConfig,
+def _run_series(
+    evolve: Callable[..., Graph],
+    config: BAConfig | WSConfig,
     runs: int,
     master_seed: int,
-    power: PowerIterationConfig | None = None,
-) -> list[TimeSeries]:
-    """Grow ``runs`` networks, recording every step from the seed graph on."""
-    out: list[TimeSeries] = []
-    for rs in run_seeds(master_seed, runs):
-        rng = np.random.default_rng(rs.derived_seed)
-        ts = TimeSeries()
-
-        def observe(step: int, g: Graph) -> None:
-            ts.append(snapshot(g, step, power))
-
-        ba_evolve(config, rng, observe)
-        out.append(ts)
-    return out
-
-
-def run_ws_series(
-    config: WSConfig,
-    runs: int,
-    master_seed: int,
-    power: PowerIterationConfig | None = None,
-) -> list[TimeSeries]:
-    """Rewire ``runs`` lattices, recording the pristine lattice as step 0 and
-    one record per completed rewire after that."""
-    out: list[TimeSeries] = []
-    for rs in run_seeds(master_seed, runs):
-        rng = np.random.default_rng(rs.derived_seed)
-        g = ws_initialize(config)
-        ts = TimeSeries()
-        ts.append(snapshot(g, 0, power))
-
-        def observe(event: RewireEvent, graph: Graph) -> None:
-            ts.append(snapshot(graph, len(ts), power))
-
-        ws_rewire(g, config, rng, observe)
-        out.append(ts)
+    power: PowerIterationConfig | None,
+) -> list[Series]:
+    """Evolve ``runs`` graphs, run i on seed ``derive_seed(master_seed, i)``,
+    snapshotting every step the model reports."""
+    out: list[Series] = []
+    for i in range(runs):
+        series = Series()
+        rng = np.random.default_rng(derive_seed(master_seed, i))
+        evolve(config, rng, lambda step, g: series.append(snapshot(g, step, power)))
+        out.append(series)
     return out
 
 
@@ -119,13 +56,13 @@ def run_ba_condition(
     runs: int,
     master_seed: int,
     power: PowerIterationConfig | None = None,
-) -> tuple[AveragedSummary, list[TimeSeries]]:
+) -> tuple[AveragedSummary, list[Series]]:
     """One growth condition, averaged per step across runs.
 
     Growth runs share the step grid by construction, so per-step means are
     always available here.
     """
-    series = run_ba_series(config, runs, master_seed, power)
+    series = _run_series(ba_evolve, config, runs, master_seed, power)
     return average_runs(series), series
 
 
@@ -134,10 +71,10 @@ def run_ws_condition(
     runs: int,
     master_seed: int,
     power: PowerIterationConfig | None = None,
-) -> tuple[AveragedSummary, list[TimeSeries]]:
+) -> tuple[AveragedSummary, list[Series]]:
     """One rewiring condition. Runs complete different numbers of rewires, so
     only final-state means are reported."""
-    series = run_ws_series(config, runs, master_seed, power)
+    series = _run_series(ws_evolve, config, runs, master_seed, power)
     return summarize_final(series), series
 
 
@@ -152,48 +89,36 @@ class SweepRow:
     runs: int
 
 
-def _sweep_values(config: ExperimentConfig) -> tuple[float, ...]:
-    if config.sweep is None:
-        raise ValueError("experiment config has no sweep values")
-    return config.sweep
-
-
-def run_ba_table(config: ExperimentConfig) -> list[SweepRow]:
-    """Run the growth model once per swept links-per-node value.
-
-    Each condition derives its own master seed from the experiment master
-    and the condition's position in the sweep, so adding or removing
-    conditions never perturbs the others.
-    """
-    assert config.ba is not None
-    rows: list[SweepRow] = []
-    for i, value in enumerate(_sweep_values(config)):
-        m = int(value)
-        if m != value:
+def _condition(base: BAConfig | WSConfig, value: float) -> BAConfig | WSConfig:
+    if isinstance(base, BAConfig):
+        if not float(value).is_integer():
             raise ValueError(f"links-per-node sweep values must be integers, got {value}")
-        cond = dataclasses.replace(config.ba, links_per_node=m)
-        cond_seed = derive_seed(config.master_seed, i)
-        summary, _ = run_ba_condition(cond, config.runs, cond_seed, config.power)
-        rows.append(
-            SweepRow(
-                param=float(m),
-                mean_lambda_ratio=summary.mean_lambda_ratio,
-                mean_cv=summary.mean_cv,
-                mean_correlation=summary.mean_correlation,
-                runs=summary.runs,
-            )
-        )
-    return rows
+        return dataclasses.replace(base, links_per_node=int(value))
+    return dataclasses.replace(base, rewiring_probability=float(value))
 
 
-def run_ws_sweep(config: ExperimentConfig) -> list[SweepRow]:
-    """Run the rewiring model once per swept rewiring probability."""
-    assert config.ws is not None
+def run_sweep(
+    base_config: BAConfig | WSConfig,
+    values: tuple[float, ...] | list[float],
+    runs: int,
+    master_seed: int,
+    power: PowerIterationConfig | None = None,
+) -> list[SweepRow]:
+    """Run one condition per value of the swept parameter: links per node for
+    growth, rewiring probability for the lattice.
+
+    Every condition is built, and so validated, before the first one runs.
+    Condition i runs on master seed ``derive_seed(master_seed, i)``, so adding
+    or removing conditions never perturbs the others.
+    """
+    if not values:
+        raise ValueError("at least one sweep value is required")
+    conditions = [_condition(base_config, value) for value in values]
+    seeds = [derive_seed(master_seed, i) for i in range(len(values))]
+    run = run_ba_condition if isinstance(base_config, BAConfig) else run_ws_condition
     rows: list[SweepRow] = []
-    for i, value in enumerate(_sweep_values(config)):
-        cond = dataclasses.replace(config.ws, rewiring_probability=float(value))
-        cond_seed = derive_seed(config.master_seed, i)
-        summary, _ = run_ws_condition(cond, config.runs, cond_seed, config.power)
+    for value, config, seed in zip(values, conditions, seeds):
+        summary, _ = run(config, runs, seed, power)
         rows.append(
             SweepRow(
                 param=float(value),

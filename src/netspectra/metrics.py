@@ -10,7 +10,7 @@ between their trajectories is the headline statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import ConstantSeriesError, LengthMismatchError, StepMismatchError
@@ -29,48 +29,35 @@ class EvolutionRecord:
     cv: float
 
 
-class TimeSeries:
-    """Evolution records of a single run, ordered by strictly increasing step."""
+@dataclass
+class Series:
+    """Columns of evolution records, one entry per step, steps strictly increasing.
 
-    def __init__(self) -> None:
-        self._records: list[EvolutionRecord] = []
+    Holds one run's records, or the per-step means of runs that share a step
+    grid (whose node and edge counts are then floats).
+    """
+
+    step: list[int] = field(default_factory=list)
+    node_count: list[float] = field(default_factory=list)
+    edge_count: list[float] = field(default_factory=list)
+    lambda_ratio: list[float] = field(default_factory=list)
+    cv: list[float] = field(default_factory=list)
 
     def append(self, record: EvolutionRecord) -> None:
-        if self._records and record.step <= self._records[-1].step:
-            raise StepMismatchError(
-                f"step {record.step} does not follow {self._records[-1].step}"
-            )
-        self._records.append(record)
+        if self.step and record.step <= self.step[-1]:
+            raise StepMismatchError(f"step {record.step} does not follow {self.step[-1]}")
+        self.step.append(record.step)
+        self.node_count.append(record.node_count)
+        self.edge_count.append(record.edge_count)
+        self.lambda_ratio.append(record.lambda_ratio)
+        self.cv.append(record.cv)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.step)
 
-    def __iter__(self) -> Iterator[EvolutionRecord]:
-        return iter(self._records)
-
-    def __getitem__(self, i: int) -> EvolutionRecord:
-        return self._records[i]
-
-    @property
-    def final(self) -> EvolutionRecord:
-        if not self._records:
-            raise IndexError("empty time series has no final record")
-        return self._records[-1]
-
-    def steps(self) -> list[int]:
-        return [r.step for r in self._records]
-
-    def node_counts(self) -> list[int]:
-        return [r.node_count for r in self._records]
-
-    def edge_counts(self) -> list[int]:
-        return [r.edge_count for r in self._records]
-
-    def lambda_ratios(self) -> list[float]:
-        return [r.lambda_ratio for r in self._records]
-
-    def cvs(self) -> list[float]:
-        return [r.cv for r in self._records]
+    def rows(self) -> Iterator[tuple]:
+        """Records as (step, node_count, edge_count, lambda_ratio, cv) tuples."""
+        return zip(self.step, self.node_count, self.edge_count, self.lambda_ratio, self.cv)
 
 
 def snapshot(g: Graph, step: int, config: PowerIterationConfig | None = None) -> EvolutionRecord:
@@ -110,16 +97,16 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def run_correlations(series: list[TimeSeries]) -> list[float | None]:
+def run_correlations(series: list[Series]) -> list[float | None]:
     """Within-run correlation of lambda_ratio against cv, one entry per run.
 
     None marks runs where the correlation is undefined (a constant series, or
     fewer than two records).
     """
     out: list[float | None] = []
-    for ts in series:
+    for run in series:
         try:
-            out.append(pearson(ts.lambda_ratios(), ts.cvs()))
+            out.append(pearson(run.lambda_ratio, run.cv))
         except (ConstantSeriesError, LengthMismatchError):
             out.append(None)
     return out
@@ -132,70 +119,61 @@ class AveragedSummary:
     ``mean_lambda_ratio`` and ``mean_cv`` average the final record of each
     run. ``mean_correlation`` averages the within-run correlations, ignoring
     runs where the correlation is undefined; it is None when no run defines
-    one. The per-step tuples are present only when all runs share one step
-    grid (growth runs do, rewiring runs generally do not).
+    one. ``per_step`` holds the per-step means and is present only when all
+    runs share one step grid (growth runs do, rewiring runs generally do not).
     """
 
     runs: int
     mean_lambda_ratio: float
     mean_cv: float
     mean_correlation: float | None
-    steps: tuple[int, ...] | None = None
-    mean_node_counts: tuple[float, ...] | None = None
-    mean_edge_counts: tuple[float, ...] | None = None
-    mean_lambda_ratios: tuple[float, ...] | None = None
-    mean_cvs: tuple[float, ...] | None = None
+    per_step: Series | None = None
 
 
-def _mean_correlation(series: list[TimeSeries]) -> float | None:
+def _mean_correlation(series: list[Series]) -> float | None:
     defined = [c for c in run_correlations(series) if c is not None]
     if not defined:
         return None
     return math.fsum(defined) / len(defined)
 
 
-def average_runs(series: list[TimeSeries]) -> AveragedSummary:
+def average_runs(series: list[Series]) -> AveragedSummary:
     """Combine runs that share a common step grid into per-step means.
 
     Raises StepMismatchError if any run's steps differ from the first run's.
     """
     if not series:
         raise ValueError("average_runs needs at least one run")
-    grid = series[0].steps()
-    for i, ts in enumerate(series[1:], start=1):
-        if ts.steps() != grid:
+    grid = series[0].step
+    for i, run in enumerate(series[1:], start=1):
+        if run.step != grid:
             raise StepMismatchError(f"run {i} steps differ from run 0")
     n_runs = len(series)
-    mean_nodes = []
-    mean_edges = []
-    mean_ratio = []
-    mean_cv = []
-    for idx in range(len(grid)):
-        mean_nodes.append(math.fsum(ts[idx].node_count for ts in series) / n_runs)
-        mean_edges.append(math.fsum(ts[idx].edge_count for ts in series) / n_runs)
-        mean_ratio.append(math.fsum(ts[idx].lambda_ratio for ts in series) / n_runs)
-        mean_cv.append(math.fsum(ts[idx].cv for ts in series) / n_runs)
+
+    def mean(column: str) -> list[float]:
+        columns = (getattr(run, column) for run in series)
+        return [math.fsum(values) / n_runs for values in zip(*columns)]
+
+    per_step = Series(
+        list(grid), mean("node_count"), mean("edge_count"), mean("lambda_ratio"), mean("cv")
+    )
     return AveragedSummary(
         runs=n_runs,
-        mean_lambda_ratio=mean_ratio[-1],
-        mean_cv=mean_cv[-1],
+        mean_lambda_ratio=per_step.lambda_ratio[-1],
+        mean_cv=per_step.cv[-1],
         mean_correlation=_mean_correlation(series),
-        steps=tuple(grid),
-        mean_node_counts=tuple(mean_nodes),
-        mean_edge_counts=tuple(mean_edges),
-        mean_lambda_ratios=tuple(mean_ratio),
-        mean_cvs=tuple(mean_cv),
+        per_step=per_step,
     )
 
 
-def summarize_final(series: list[TimeSeries]) -> AveragedSummary:
+def summarize_final(series: list[Series]) -> AveragedSummary:
     """Cross-run means of final records only, for runs on unequal step grids."""
     if not series:
         raise ValueError("summarize_final needs at least one run")
     n_runs = len(series)
     return AveragedSummary(
         runs=n_runs,
-        mean_lambda_ratio=math.fsum(ts.final.lambda_ratio for ts in series) / n_runs,
-        mean_cv=math.fsum(ts.final.cv for ts in series) / n_runs,
+        mean_lambda_ratio=math.fsum(run.lambda_ratio[-1] for run in series) / n_runs,
+        mean_cv=math.fsum(run.cv[-1] for run in series) / n_runs,
         mean_correlation=_mean_correlation(series),
     )

@@ -14,6 +14,7 @@ never themselves rewired.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,7 +50,6 @@ class RewireEvent:
 
     original_edge: tuple[int, int]
     new_edge: tuple[int, int] | None
-    event_index: int
 
     @property
     def skipped(self) -> bool:
@@ -57,6 +57,7 @@ class RewireEvent:
 
 
 RewireObserver = Callable[[RewireEvent, Graph], None]
+Observer = Callable[[int, Graph], None]
 
 
 def _ordered(u: int, v: int) -> tuple[int, int]:
@@ -120,13 +121,33 @@ def ws_rewire(
         taken = g.neighbors(u)
         candidates = [w for w in range(total) if w != u and w != v and w not in taken]
         if not candidates:
-            events.append(RewireEvent((u, v), None, len(events)))
+            events.append(RewireEvent((u, v), None))
             continue
         w = candidates[int(rng.integers(len(candidates)))]
         g.remove_edge(u, v)
         g.add_edge(u, w)
-        event = RewireEvent((u, v), _ordered(u, w), len(events))
+        event = RewireEvent((u, v), _ordered(u, w))
         events.append(event)
         if observer is not None:
             observer(event, g)
     return events
+
+
+def ws_evolve(
+    config: WSConfig,
+    rng: np.random.Generator,
+    observer: Observer | None = None,
+) -> Graph:
+    """Build a lattice, apply the rewiring sweep to it and return it.
+
+    ``observer`` sees the pristine lattice as step 0 and then, after the k-th
+    completed rewire, the graph as step k; skipped events are not steps.
+    """
+    g = ws_initialize(config)
+    if observer is None:
+        ws_rewire(g, config, rng)
+        return g
+    observer(0, g)
+    steps = itertools.count(1)
+    ws_rewire(g, config, rng, lambda event, graph: observer(next(steps), graph))
+    return g

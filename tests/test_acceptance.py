@@ -22,14 +22,14 @@ import pytest
 
 from netspectra import (
     BAConfig,
-    TimeSeries,
+    Series,
     WSConfig,
     average_runs,
     ba_evolve,
     degree_stats,
+    derive_seed,
     power_iteration,
     run_correlations,
-    run_seeds,
     snapshot,
     spectral_radius_ratio,
     summarize_final,
@@ -66,18 +66,20 @@ def checked_snapshot(g, step):
 
 
 def ba_series_checked(config, runs, master_seed):
-    """run_ba_series with the degree bound asserted at every recorded step."""
+    """run_ba_condition's runs with the degree bound asserted at every
+    recorded step."""
     series = []
-    for rs in run_seeds(master_seed, runs):
-        rng = np.random.default_rng(rs.derived_seed)
-        ts = TimeSeries()
+    for i in range(runs):
+        rng = np.random.default_rng(derive_seed(master_seed, i))
+        ts = Series()
         ba_evolve(config, rng, lambda step, g: ts.append(checked_snapshot(g, step)))
         series.append(ts)
     return series
 
 
 def ws_series_checked(config, runs, master_seed):
-    """run_ws_series with conservation and the degree bound asserted per event.
+    """run_ws_condition's runs with conservation and the degree bound asserted
+    per event.
 
     Returns the series plus, for each run, how many rewire events the
     observer checked.
@@ -85,10 +87,10 @@ def ws_series_checked(config, runs, master_seed):
     links = 4 * config.nodes_per_ring
     series = []
     checked_counts = []
-    for rs in run_seeds(master_seed, runs):
-        rng = np.random.default_rng(rs.derived_seed)
+    for i in range(runs):
+        rng = np.random.default_rng(derive_seed(master_seed, i))
         g = ws_initialize(config)
-        ts = TimeSeries()
+        ts = Series()
         ts.append(checked_snapshot(g, 0))
         checked = 0
 
@@ -211,8 +213,8 @@ def test_06_unrewired_lattice_is_exactly_regular():
     assert checked_counts == [0] * 20
     for ts in series:
         assert len(ts) == 1
-        assert ts[0].lambda_ratio == 1.0
-        assert ts[0].cv == 0.0
+        assert ts.lambda_ratio[0] == 1.0
+        assert ts.cv[0] == 0.0
     print("[criterion 6] PASS 20 runs at probability 0: ratio 1.0 and cv 0.0 exact")
 
 

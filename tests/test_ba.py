@@ -5,14 +5,13 @@ from netspectra import (
     BAConfig,
     TooFewNodesError,
     ZeroDegreeSumError,
-    attachment_distribution,
     ba_evolve,
     ba_initialize,
     select_targets,
 )
 from netspectra.graph import Graph
 
-from helpers import complete_graph, path_graph, star_graph
+from helpers import complete_graph, path_graph
 
 
 class ScriptedRng:
@@ -67,17 +66,6 @@ def test_seed_wiring_properties():
         assert g.node_count == 6
         assert 3 <= g.edge_count <= 6
         assert min(g.degrees()) >= 1
-
-
-def test_attachment_distribution_path3():
-    probs = attachment_distribution(path_graph(3))
-    assert probs == pytest.approx([0.25, 0.5, 0.25])
-    assert probs.sum() == pytest.approx(1.0)
-
-
-def test_attachment_distribution_needs_edges():
-    with pytest.raises(ZeroDegreeSumError):
-        attachment_distribution(Graph(3))
 
 
 def test_select_targets_connects_to_all_when_links_exceed_nodes():
@@ -174,11 +162,6 @@ def test_seed_wiring_two_nodes_gives_single_edge():
     g = ba_initialize(2, np.random.default_rng(0))
     assert g.node_count == 2
     assert list(g.edges()) == [(0, 1)]
-
-
-def test_attachment_distribution_star():
-    dist = attachment_distribution(star_graph(4))
-    assert np.allclose(dist, [1 / 2, 1 / 6, 1 / 6, 1 / 6])
 
 
 def test_select_targets_leaves_graph_untouched():

@@ -52,6 +52,15 @@ def test_analyze_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_analyze_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe0 1\n")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("0 1\n0 1 2\n")
@@ -202,6 +211,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  "--total", "10", "--seed", "1", "--out", str(tmp_path)]) == 1
 
 
+def test_generated_seed_not_printed_for_a_failed_check(tmp_path, capsys):
+    assert main(["ba", "--total", "10", "--links", "2", "--runs", "0",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_generated_seed_is_printed(tmp_path, capsys):
     code = main(["ws", "--ring", "6", "--beta", "0", "--runs", "1",
                  "--out", str(tmp_path)])
@@ -254,3 +269,37 @@ def test_bad_parameters_exit_1_with_one_line(tmp_path, args):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert list(tmp_path.iterdir()) == []  # nothing written
+
+
+BA_SMALL = ["ba", "--total", "10", "--links", "2", "--seed", "1"]
+WS_TINY = ["ws", "--ring", "5", "--beta", "0.5", "--seed", "1"]
+
+
+@pytest.mark.parametrize("command", [BA_SMALL, WS_TINY], ids=["ba", "ws"])
+@pytest.mark.parametrize("out", ["afile", "afile/x"])
+def test_out_naming_a_file_exits_1_with_one_line(tmp_path, command, out):
+    (tmp_path / "afile").write_text("keep me\n")
+    proc = run_cli([*command, "--out", out], tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: cannot write ")
+    assert (tmp_path / "afile").read_text() == "keep me\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    (tmp_path / "ba_summary.json").mkdir()
+    assert main([*BA_SMALL, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ba_summary.json", "ba_timeseries.csv"]
+    assert (tmp_path / "ba_summary.json").is_dir()
+
+
+def test_outputs_replace_existing_files(tmp_path):
+    (tmp_path / "ws_summary.json").write_text("stale\n")
+    assert main([*WS_TINY, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "ws_summary.json").read_text())
+    assert summary["master_seed"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ws_summary.json", "ws_timeseries.csv"]
+

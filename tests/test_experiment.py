@@ -1,22 +1,22 @@
+import numpy as np
 import pytest
 
+import netspectra.experiment
 from netspectra import (
     BAConfig,
-    ExperimentConfig,
+    Series,
     WSConfig,
+    ba_evolve,
     derive_seed,
     run_ba_condition,
-    run_ba_series,
-    run_ba_table,
-    run_seeds,
+    run_sweep,
     run_ws_condition,
-    run_ws_series,
-    run_ws_sweep,
+    snapshot,
 )
 
 
-def records(ts):
-    return [(r.step, r.node_count, r.edge_count, r.lambda_ratio, r.cv) for r in ts]
+def records(series):
+    return [list(run.rows()) for run in series]
 
 
 def test_derive_seed_is_stable():
@@ -27,64 +27,63 @@ def test_derive_seed_is_stable():
 
 
 def test_run_seeds():
-    seeds = run_seeds(7, 4)
-    assert [s.run_index for s in seeds] == [0, 1, 2, 3]
-    assert [s.derived_seed for s in seeds] == [derive_seed(7, i) for i in range(4)]
-    assert len({s.derived_seed for s in seeds}) == 4
+    # run i of a condition is the model evolved on derive_seed(master, i)
+    cfg = BAConfig(initial_nodes=3, total_nodes=20, links_per_node=2)
+    _, series = run_ba_condition(cfg, 4, master_seed=7)
+    for i, run in enumerate(series):
+        alone = Series()
+        rng = np.random.default_rng(derive_seed(7, i))
+        ba_evolve(cfg, rng, lambda step, g: alone.append(snapshot(g, step)))
+        assert list(run.rows()) == list(alone.rows())
+    assert len({tuple(run.lambda_ratio) for run in series}) == 4
 
 
 def test_experiment_config_validation():
     ba = BAConfig(3, 10, 2)
-    ws = WSConfig(5, 0.5)
     with pytest.raises(ValueError):
-        ExperimentConfig(model="er", runs=1, master_seed=0, ba=ba)
+        run_sweep(ba, (), runs=1, master_seed=0)
     with pytest.raises(ValueError):
-        ExperimentConfig(model="ba", runs=1, master_seed=0)
+        run_sweep(ba, (2,), runs=0, master_seed=0)
     with pytest.raises(ValueError):
-        ExperimentConfig(model="ws", runs=1, master_seed=0, ba=ba)
+        run_sweep(ba, (2,), runs=1, master_seed=-1)
     with pytest.raises(ValueError):
-        ExperimentConfig(model="ba", runs=0, master_seed=0, ba=ba)
-    with pytest.raises(ValueError):
-        ExperimentConfig(model="ba", runs=1, master_seed=-1, ba=ba)
-    with pytest.raises(ValueError):
-        ExperimentConfig(model="ws", runs=1, master_seed=0, ws=ws, sweep=())
+        run_sweep(WSConfig(5, 0.5), (0.5, -0.1), runs=1, master_seed=0)
 
 
 def test_ba_series_grid_and_reproducibility():
     cfg = BAConfig(initial_nodes=3, total_nodes=20, links_per_node=2)
-    a = run_ba_series(cfg, 3, master_seed=5)
-    b = run_ba_series(cfg, 3, master_seed=5)
-    c = run_ba_series(cfg, 3, master_seed=6)
+    _, a = run_ba_condition(cfg, 3, master_seed=5)
+    _, b = run_ba_condition(cfg, 3, master_seed=5)
+    _, c = run_ba_condition(cfg, 3, master_seed=6)
     assert len(a) == 3
-    for ts in a:
-        assert ts.steps() == list(range(2, 20))
-        assert ts.node_counts() == list(range(3, 21))
-    assert [records(ts) for ts in a] == [records(ts) for ts in b]
-    assert [records(ts) for ts in a] != [records(ts) for ts in c]
+    for run in a:
+        assert run.step == list(range(2, 20))
+        assert run.node_count == list(range(3, 21))
+    assert records(a) == records(b)
+    assert records(a) != records(c)
 
 
 def test_runs_differ_from_each_other():
     cfg = BAConfig(initial_nodes=3, total_nodes=20, links_per_node=2)
-    series = run_ba_series(cfg, 2, master_seed=5)
-    assert records(series[0]) != records(series[1])
+    _, series = run_ba_condition(cfg, 2, master_seed=5)
+    assert list(series[0].rows()) != list(series[1].rows())
 
 
 def test_ws_series_counts_completed_rewires():
     cfg = WSConfig(nodes_per_ring=10, rewiring_probability=0.5)
-    for ts in run_ws_series(cfg, 3, master_seed=9):
-        assert ts.steps() == list(range(len(ts)))
-        first = ts[0]
-        assert first.lambda_ratio == 1.0
-        assert first.cv == 0.0
-        assert first.edge_count == 40
-        assert all(r.edge_count == 40 for r in ts)
+    _, series = run_ws_condition(cfg, 3, master_seed=9)
+    for run in series:
+        assert run.step == list(range(len(run)))
+        assert run.lambda_ratio[0] == 1.0
+        assert run.cv[0] == 0.0
+        assert run.edge_count == [40] * len(run)
 
 
 def test_ws_series_reproducible():
     cfg = WSConfig(nodes_per_ring=8, rewiring_probability=0.7)
-    a = run_ws_series(cfg, 2, master_seed=3)
-    b = run_ws_series(cfg, 2, master_seed=3)
-    assert [records(ts) for ts in a] == [records(ts) for ts in b]
+    _, a = run_ws_condition(cfg, 2, master_seed=3)
+    _, b = run_ws_condition(cfg, 2, master_seed=3)
+    assert records(a) == records(b)
 
 
 def test_ba_condition_summary_shape():
@@ -92,29 +91,24 @@ def test_ba_condition_summary_shape():
     summary, series = run_ba_condition(cfg, 4, master_seed=11)
     assert summary.runs == 4
     assert len(series) == 4
-    assert summary.steps == tuple(range(2, 25))
-    assert summary.mean_lambda_ratios[-1] == summary.mean_lambda_ratio
-    assert summary.mean_cvs[-1] == summary.mean_cv
-    assert summary.mean_node_counts == tuple(float(n) for n in range(3, 26))
+    per_step = summary.per_step
+    assert per_step.step == list(range(2, 25))
+    assert per_step.lambda_ratio[-1] == summary.mean_lambda_ratio
+    assert per_step.cv[-1] == summary.mean_cv
+    assert per_step.node_count == [float(n) for n in range(3, 26)]
 
 
 def test_ws_condition_summary_shape():
     cfg = WSConfig(nodes_per_ring=8, rewiring_probability=0.5)
     summary, series = run_ws_condition(cfg, 3, master_seed=2)
     assert summary.runs == 3
-    assert summary.steps is None
+    assert len(series) == 3
+    assert summary.per_step is None
     assert summary.mean_lambda_ratio > 1.0
 
 
 def test_ba_table_rows():
-    cfg = ExperimentConfig(
-        model="ba",
-        runs=2,
-        master_seed=21,
-        ba=BAConfig(3, 30, 2),
-        sweep=(2, 3),
-    )
-    rows = run_ba_table(cfg)
+    rows = run_sweep(BAConfig(3, 30, 2), (2, 3), runs=2, master_seed=21)
     assert [r.param for r in rows] == [2.0, 3.0]
     assert all(r.runs == 2 for r in rows)
     assert all(r.mean_lambda_ratio > 1.0 for r in rows)
@@ -123,35 +117,23 @@ def test_ba_table_rows():
 
 
 def test_ba_table_conditions_keyed_by_position():
-    base = dict(model="ba", runs=2, master_seed=21, ba=BAConfig(3, 30, 2))
-    both = run_ba_table(ExperimentConfig(sweep=(2, 3), **base))
-    alone = run_ba_table(ExperimentConfig(sweep=(2,), **base))
+    both = run_sweep(BAConfig(3, 30, 2), (2, 3), runs=2, master_seed=21)
+    alone = run_sweep(BAConfig(3, 30, 2), (2,), runs=2, master_seed=21)
     assert both[0] == alone[0]
 
 
 def test_ba_table_rejects_fractional_links():
-    cfg = ExperimentConfig(
-        model="ba", runs=1, master_seed=0, ba=BAConfig(3, 10, 2), sweep=(2.5,)
-    )
     with pytest.raises(ValueError):
-        run_ba_table(cfg)
+        run_sweep(BAConfig(3, 10, 2), (2.5,), runs=1, master_seed=0)
 
 
 def test_ba_table_requires_sweep():
-    cfg = ExperimentConfig(model="ba", runs=1, master_seed=0, ba=BAConfig(3, 10, 2))
     with pytest.raises(ValueError):
-        run_ba_table(cfg)
+        run_sweep(BAConfig(3, 10, 2), (), runs=1, master_seed=0)
 
 
 def test_ws_sweep_rows():
-    cfg = ExperimentConfig(
-        model="ws",
-        runs=2,
-        master_seed=33,
-        ws=WSConfig(10, 0.0),
-        sweep=(0.0, 0.6),
-    )
-    rows = run_ws_sweep(cfg)
+    rows = run_sweep(WSConfig(10, 0.0), (0.0, 0.6), runs=2, master_seed=33)
     assert [r.param for r in rows] == [0.0, 0.6]
     assert rows[0].mean_lambda_ratio == 1.0
     assert rows[0].mean_cv == 0.0
@@ -161,8 +143,21 @@ def test_ws_sweep_rows():
 
 
 def test_ws_sweep_validates_probability():
-    cfg = ExperimentConfig(
-        model="ws", runs=1, master_seed=0, ws=WSConfig(10, 0.0), sweep=(1.5,)
-    )
     with pytest.raises(ValueError):
-        run_ws_sweep(cfg)
+        run_sweep(WSConfig(10, 0.0), (1.5,), runs=1, master_seed=0)
+
+
+@pytest.mark.parametrize(
+    "base, values, condition",
+    [
+        (BAConfig(3, 400, 2), (2, 3, 2.5), "run_ba_condition"),
+        (BAConfig(3, 400, 2), (2, 3, 0), "run_ba_condition"),
+        (WSConfig(50, 0.0), (0.5, 1.0, 1.5), "run_ws_condition"),
+    ],
+)
+def test_sweep_validates_every_value_before_running(monkeypatch, base, values, condition):
+    calls = []
+    monkeypatch.setattr(netspectra.experiment, condition, lambda *args: calls.append(args))
+    with pytest.raises(ValueError):
+        run_sweep(base, values, runs=3, master_seed=0)
+    assert calls == []

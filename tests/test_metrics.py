@@ -5,8 +5,8 @@ from netspectra import (
     ConstantSeriesError,
     EvolutionRecord,
     LengthMismatchError,
+    Series,
     StepMismatchError,
-    TimeSeries,
     WSConfig,
     average_runs,
     pearson,
@@ -21,7 +21,7 @@ from helpers import star_graph
 
 def make_series(rows):
     """rows: (step, node_count, edge_count, lambda_ratio, cv) tuples."""
-    ts = TimeSeries()
+    ts = Series()
     for step, nodes, edges, ratio, cv in rows:
         ts.append(EvolutionRecord(step, nodes, edges, ratio, cv))
     return ts
@@ -30,14 +30,12 @@ def make_series(rows):
 def test_timeseries_accessors():
     ts = make_series([(0, 3, 2, 1.0, 0.1), (1, 4, 4, 1.2, 0.3)])
     assert len(ts) == 2
-    assert ts.steps() == [0, 1]
-    assert ts.node_counts() == [3, 4]
-    assert ts.edge_counts() == [2, 4]
-    assert ts.lambda_ratios() == [1.0, 1.2]
-    assert ts.cvs() == [0.1, 0.3]
-    assert ts.final.step == 1
-    assert ts[0].node_count == 3
-    assert [r.step for r in ts] == [0, 1]
+    assert ts.step == [0, 1]
+    assert ts.node_count == [3, 4]
+    assert ts.edge_count == [2, 4]
+    assert ts.lambda_ratio == [1.0, 1.2]
+    assert ts.cv == [0.1, 0.3]
+    assert list(ts.rows()) == [(0, 3, 2, 1.0, 0.1), (1, 4, 4, 1.2, 0.3)]
 
 
 def test_timeseries_requires_increasing_steps():
@@ -49,8 +47,9 @@ def test_timeseries_requires_increasing_steps():
 
 
 def test_timeseries_final_of_empty():
+    # a run with no records has no final record to summarize
     with pytest.raises(IndexError):
-        TimeSeries().final
+        summarize_final([Series()])
 
 
 def test_snapshot_star():
@@ -97,11 +96,7 @@ def test_average_runs_means():
     b = make_series([(0, 3, 3, 3.0, 1.5), (1, 4, 5, 4.0, 2.5)])
     s = average_runs([a, b])
     assert s.runs == 2
-    assert s.steps == (0, 1)
-    assert s.mean_node_counts == (3.0, 4.0)
-    assert s.mean_edge_counts == (2.5, 4.5)
-    assert s.mean_lambda_ratios == (2.0, 3.0)
-    assert s.mean_cvs == (1.0, 2.0)
+    assert s.per_step == Series([0, 1], [3.0, 4.0], [2.5, 4.5], [2.0, 3.0], [1.0, 2.0])
     assert s.mean_lambda_ratio == 3.0
     assert s.mean_cv == 2.0
     assert s.mean_correlation == pytest.approx(1.0)
@@ -140,8 +135,7 @@ def test_summarize_final_handles_unequal_lengths():
     assert s.mean_lambda_ratio == pytest.approx(1.4)
     assert s.mean_cv == pytest.approx(0.5)
     assert s.mean_correlation == pytest.approx(1.0)
-    assert s.steps is None
-    assert s.mean_lambda_ratios is None
+    assert s.per_step is None
 
 
 def test_summarize_final_needs_input():

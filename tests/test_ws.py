@@ -7,6 +7,7 @@ from netspectra import (
     WSConfig,
     initial_edges,
     spectral_radius_ratio,
+    ws_evolve,
     ws_initialize,
     ws_rewire,
 )
@@ -66,7 +67,6 @@ def test_full_probability_rewires_every_link():
     events = ws_rewire(g, cfg, np.random.default_rng(1))
     assert len(events) == 200
     assert not any(e.skipped for e in events)
-    assert [e.event_index for e in events] == list(range(200))
     originals = [e.original_edge for e in events]
     assert originals == initial_edges(50)
     # the kept endpoint is the lower end of the original link
@@ -133,7 +133,29 @@ def test_rewire_rejects_wrong_sized_graph():
 
 
 def test_event_skipped_property():
-    moved = RewireEvent(original_edge=(0, 1), new_edge=(0, 5), event_index=0)
-    stuck = RewireEvent(original_edge=(0, 1), new_edge=None, event_index=1)
+    moved = RewireEvent(original_edge=(0, 1), new_edge=(0, 5))
+    stuck = RewireEvent(original_edge=(0, 1), new_edge=None)
     assert not moved.skipped
     assert stuck.skipped
+
+
+def test_evolve_reports_lattice_then_each_completed_rewire():
+    # seed 0 on the 6-node lattice skips some events; skips are not steps
+    cfg = WSConfig(nodes_per_ring=3, rewiring_probability=1.0)
+    seen = []
+    g = ws_evolve(
+        cfg, np.random.default_rng(0), lambda step, graph: seen.append((step, list(graph.edges())))
+    )
+    lattice = ws_initialize(cfg)
+    events = ws_rewire(lattice, cfg, np.random.default_rng(0))
+    completed = [e for e in events if not e.skipped]
+    assert [step for step, _ in seen] == list(range(len(completed) + 1))
+    assert seen[0][1] == sorted(initial_edges(3))
+    assert seen[-1][1] == list(g.edges()) == list(lattice.edges())
+
+
+def test_evolve_without_observer_matches_rewire():
+    cfg = WSConfig(nodes_per_ring=15, rewiring_probability=0.4)
+    g = ws_initialize(cfg)
+    ws_rewire(g, cfg, np.random.default_rng(11))
+    assert ws_evolve(cfg, np.random.default_rng(11)) == g
