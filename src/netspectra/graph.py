@@ -57,8 +57,10 @@ class Graph:
     union-find.
 
     ``warm_vector`` is the last converged power-iteration iterate on this
-    graph while it was connected, or None. ``power_iteration`` starts the next
-    solve from it; a ``copy`` starts without one.
+    graph while it was connected, or None, and ``warm_radius`` the spectral
+    radius of the solve that stored it. ``power_iteration`` starts the next
+    solve from the vector, padding nodes added since with the help of the
+    radius; a ``copy`` starts without either.
     """
 
     __slots__ = (
@@ -71,6 +73,7 @@ class Graph:
         "_parent",
         "_components",
         "warm_vector",
+        "warm_radius",
     )
 
     def __init__(self, node_count: int = 0) -> None:
@@ -85,6 +88,7 @@ class Graph:
         self._parent = list(range(node_count))
         self._components = node_count
         self.warm_vector: np.ndarray | None = None
+        self.warm_radius = 0.0
 
     @property
     def node_count(self) -> int:

@@ -3,15 +3,20 @@
 The matrix itself is never materialized. The graph keeps both directions of
 every edge as source/destination arc arrays, updated in place as it mutates,
 so one multiply is one gather and one bincount over them: O(edges) per
-iteration, with memory linear in the graph even at thousands of nodes.
+iteration, with memory linear in the graph even at thousands of nodes. The
+iterate stays unnormalized between multiplies and the radius estimate is the
+growth of its norm, so an iteration is the gather, the bincount and one dot
+product; the graphs tracked step by step are small enough that numpy's
+per-call overhead, not arithmetic, sets its cost.
 
 Evolution runs solve after every one-to-few edge change, and a change that
 small moves the principal eigenvector little. Each solve on a connected graph
-therefore starts from the graph's previous converged iterate, with nodes
-added since padded by its mean. A graph's first solve, and any solve on a
-disconnected graph, starts from the all-ones vector. Here a graph counts as
-connected when one component holds all its edges; isolated nodes do not
-count.
+therefore starts from the graph's previous converged iterate. A node added
+since takes the value the eigen-equation gives it from its neighbours in that
+iterate: their sum over the radius of the solve that stored it. A graph's
+first solve, and any solve on a disconnected graph, starts from the all-ones
+vector. Here a graph counts as connected when one component holds all its
+edges; isolated nodes do not count.
 """
 
 from __future__ import annotations
@@ -27,13 +32,19 @@ from .graph import DegreeStats, Graph, degree_stats
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
 
+# Squared iterate norm above which _iterate rescales its unnormalized iterate.
+# One multiply grows it by at most radius**2, far below the 1e108 left before
+# float64 overflows.
+_RESCALE_ABOVE = 1e200
+
 
 @dataclass(frozen=True)
 class PowerIterationConfig:
     """Stopping rule for power iteration.
 
-    Iteration ends when two consecutive iterate norms agree to within
-    ``tolerance``, or fails after ``max_iterations`` multiplies.
+    Iteration ends when two consecutive radius estimates (the factors by
+    which a multiply grows the iterate's norm) agree to within ``tolerance``,
+    or fails after ``max_iterations`` multiplies.
     """
 
     tolerance: float = DEFAULT_TOLERANCE
@@ -50,7 +61,7 @@ class PowerIterationConfig:
 class SpectralResult:
     """Outcome of one power-iteration solve.
 
-    ``residual`` is the gap between the last two iterate norms. ``shifted``
+    ``residual`` is the gap between the last two radius estimates. ``shifted``
     marks solves that only converged after shifting the matrix by +I (the
     shift widens the relative gap when the most negative eigenvalue is close
     to the radius in magnitude; the radius is recovered by subtracting 1).
@@ -58,7 +69,7 @@ class SpectralResult:
     ``iterations`` counts multiplies from the solve's starting vector: the
     graph's previous converged iterate (a warm start) or the all-ones vector.
 
-    ``principal_eigenvector`` is the final normalized iterate. The norms
+    ``principal_eigenvector`` is the final iterate, normalized. The estimates
     converge to the spectral radius for any graph, but on a bipartite graph
     the iterate itself keeps a component of the -radius eigenvector, so the
     vector approximates the principal eigenvector only when the top
@@ -80,41 +91,62 @@ def _iterate(
     config: PowerIterationConfig,
     shift: float,
 ) -> tuple[float, np.ndarray, int, bool, float]:
-    """Run the norm-convergence loop for A + shift*I from ``x``; return raw results."""
+    """Run the norm-convergence loop for A + shift*I from ``x``; return raw results.
+
+    The iterate is not normalized between multiplies: with yy_k the squared
+    norm of the k-th product (yy_0 that of ``x``), the radius estimate
+    sqrt(yy_k / yy_{k-1}) is ``||A u||`` for the unit vector u along the
+    previous iterate, so the stopping rule is that of a normalized loop. The
+    iterate is rescaled only when its squared norm passes _RESCALE_ABOVE, and
+    the returned vector is normalized.
+    """
     n = len(x)
+    xx = x.dot(x)
     prev_norm = -1.0
     residual = math.inf
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        y = np.bincount(dst, weights=x[src], minlength=n)
+        y = np.bincount(dst, x[src], n)
         if shift:
             y += shift * x
-        norm = math.sqrt(y @ y)
-        if norm == 0.0:
+        yy = y.dot(y)
+        if yy == 0.0:
             # A annihilated the iterate: only possible with no edges at all,
             # where the radius is exactly zero.
             return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
-        x = y / norm
+        norm = math.sqrt(yy / xx)
         if prev_norm >= 0.0:
             residual = abs(norm - prev_norm)
             if residual <= config.tolerance:
-                return norm, x, iterations, True, residual
+                return norm, y / math.sqrt(yy), iterations, True, residual
         prev_norm = norm
-    return prev_norm, x, iterations, False, residual
+        if yy > _RESCALE_ABOVE:
+            y /= math.sqrt(yy)
+            yy = 1.0
+        x, xx = y, yy
+    return prev_norm, x / math.sqrt(xx), iterations, False, residual
 
 
 def _start_vector(g: Graph, connected: bool) -> np.ndarray:
-    """The graph's last converged iterate, padded with its mean for nodes
-    added since; all-ones when the graph has none or is not connected."""
+    """The graph's last converged iterate, with each node added since padded
+    from the eigen-equation; all-ones when the graph has none or is not
+    connected.
+
+    A new node v gets sum(x_u for its neighbours u already in the iterate)
+    divided by the radius of the solve that stored it, the value that makes
+    row v of A x = radius * x hold on the old entries.
+    """
     n = g.node_count
     warm = g.warm_vector
     if warm is None or not connected:
         return np.ones(n, dtype=np.float64)
-    if len(warm) == n:
+    k = len(warm)
+    if k == n:
         return warm
     x = np.empty(n, dtype=np.float64)
-    x[: len(warm)] = warm
-    x[len(warm) :] = warm.mean()
+    x[:k] = warm
+    for v in range(k, n):
+        x[v] = sum(warm[u] for u in g.neighbors(v) if u < k) / g.warm_radius
     return x
 
 
@@ -123,12 +155,13 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
 
     Starts from the graph's last converged iterate (``Graph.warm_vector``),
     or from the all-ones vector on the graph's first solve and whenever the
-    graph is disconnected, and normalizes by the Euclidean norm each step;
-    the norms converge to the spectral radius. If the plain iteration
-    exhausts its budget (norm oscillation on bipartite-like spectra), one
-    retry runs on A + I from the same start and the radius is the converged
-    norm minus 1. The converged iterate of a connected graph becomes its new
-    ``warm_vector``.
+    graph is disconnected. The factor by which one multiply grows the
+    iterate's Euclidean norm converges to the spectral radius, and iteration
+    stops when two consecutive factors agree to within the tolerance. If the
+    plain iteration exhausts its budget (norm oscillation on bipartite-like
+    spectra), one retry runs on A + I from the same start and the radius is
+    the converged factor minus 1. The converged iterate of a connected graph, normalized,
+    becomes its new ``warm_vector``, and the radius its ``warm_radius``.
 
     Raises NotConvergedError, carrying the best unshifted result, if the
     retry fails too.
@@ -166,6 +199,7 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
             )
         radius -= 1.0
     g.warm_vector = vec.copy() if connected else None
+    g.warm_radius = radius
     return SpectralResult(radius, vec, iters, True, residual, shifted)
 
 

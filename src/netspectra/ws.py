@@ -64,6 +64,16 @@ def _ordered(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _nth_outside(excluded: list[int], j: int) -> int:
+    """The j-th (0-based) nonnegative integer not in ``excluded``, which is
+    sorted ascending: the j-th entry of the ascending candidate list."""
+    for e in excluded:
+        if e > j:
+            break
+        j += 1
+    return j
+
+
 def initial_edges(nodes_per_ring: int) -> list[tuple[int, int]]:
     """Lattice links in construction order, each normalized lower-ID first."""
     n = nodes_per_ring
@@ -118,12 +128,12 @@ def ws_rewire(
     for u, v in initial_edges(config.nodes_per_ring):
         if rng.random() > beta:
             continue
-        taken = g.neighbors(u)
-        candidates = [w for w in range(total) if w != u and w != v and w not in taken]
-        if not candidates:
+        # v is a neighbour of u, so excluding u and its neighbours excludes v.
+        excluded = sorted(g.neighbors(u) | {u})
+        if len(excluded) == total:
             events.append(RewireEvent((u, v), None))
             continue
-        w = candidates[int(rng.integers(len(candidates)))]
+        w = _nth_outside(excluded, int(rng.integers(total - len(excluded))))
         g.remove_edge(u, v)
         g.add_edge(u, w)
         event = RewireEvent((u, v), _ordered(u, w))

@@ -90,3 +90,24 @@ def trace_oracle_spectral_radius(g: Graph) -> float:
     if trace <= 0.0:
         return 0.0
     return float(np.exp((np.log(trace) + log_scale) / 128.0))
+
+
+def reference_power_iteration(
+    g: Graph, tolerance: float = 1e-10, max_iterations: int = 100_000
+) -> tuple[float, int, bool]:
+    """The solver's plain loop as it was before its iterate went unnormalized:
+    normalize after every multiply and stop when two consecutive norms agree
+    to within ``tolerance``. Starts from all-ones; returns (radius,
+    iterations, converged)."""
+    n = g.node_count
+    src, dst = g.arcs()
+    x = np.ones(n, dtype=np.float64)
+    prev_norm = -1.0
+    for iterations in range(1, max_iterations + 1):
+        y = np.bincount(dst, weights=x[src], minlength=n)
+        norm = float(np.sqrt(y @ y))
+        x = y / norm
+        if prev_norm >= 0.0 and abs(norm - prev_norm) <= tolerance:
+            return norm, iterations, True
+        prev_norm = norm
+    return prev_norm, max_iterations, False

@@ -15,16 +15,20 @@ from netspectra import (
     degree_stats,
     power_iteration,
     spectral_radius_ratio,
+    ws_evolve,
     ws_initialize,
     ws_rewire,
 )
+from netspectra.spectral import _start_vector
 
 from helpers import (
+    adjacency_matrix,
     complete_graph,
     cycle_graph,
     disjoint_union,
     erdos_renyi,
     path_graph,
+    reference_power_iteration,
     star_graph,
     trace_oracle_spectral_radius,
 )
@@ -125,6 +129,7 @@ def test_exhausted_budget_raises_with_partial_result():
     assert partial.converged is False
     assert partial.iterations == 1
     assert partial.spectral_radius > 0
+    assert np.linalg.norm(partial.principal_eigenvector) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shift_retry_rescues_slow_convergence():
@@ -140,6 +145,13 @@ def test_shift_retry_can_fail_too():
     g = nearly_bipartite_graph()
     with pytest.raises(NotConvergedError):
         power_iteration(g, PowerIterationConfig(max_iterations=15))
+
+
+def test_failed_retry_reports_unit_eigenvector():
+    with pytest.raises(NotConvergedError) as exc:
+        power_iteration(nearly_bipartite_graph(), PowerIterationConfig(max_iterations=15))
+    vec = exc.value.result.principal_eigenvector
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shift_changes_nothing_when_plain_converges():
@@ -260,3 +272,68 @@ def test_solve_after_minor_component_overtakes():
     for u, v in ((7, 8), (8, 9), (9, 10), (10, 7)):
         g.add_edge(u, v)
     assert power_iteration(g).spectral_radius == pytest.approx(1 + math.sqrt(5), abs=1e-6)
+
+
+PINNED_GRAPHS = {
+    "ws-beta-0.5": lambda: ws_evolve(WSConfig(50, 0.5), np.random.default_rng(21)),
+    "ws-beta-1.0": lambda: ws_evolve(WSConfig(50, 1.0), np.random.default_rng(22)),
+    "ba-300": lambda: ba_evolve(BAConfig(3, 300, 2), np.random.default_rng(23)),
+    "erdos-renyi": lambda: erdos_renyi(40, 0.15, np.random.default_rng(24)),
+    "star": lambda: star_graph(9),
+    "nearly-bipartite": nearly_bipartite_graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
+def test_kernel_matches_normalized_reference_loop(name):
+    g = PINNED_GRAPHS[name]()
+    radius, iterations, converged = reference_power_iteration(g)
+    assert converged
+    result = power_iteration(g)
+    assert result.converged and not result.shifted
+    assert result.spectral_radius == pytest.approx(radius, rel=1e-12)
+    assert abs(result.iterations - iterations) <= 1
+
+
+def test_rescaled_iterate_keeps_radius():
+    # Cliques of 30 and 29 nodes joined by one edge: radius ~29.002 with the
+    # second eigenvalue at 28, so the solve runs for hundreds of multiplies and
+    # the unnormalized iterate's squared norm, growing ~radius**2 per multiply,
+    # would overflow float64 several times over without rescaling.
+    g = Graph(59)
+    for lo, hi in ((0, 30), (30, 59)):
+        for u in range(lo, hi):
+            for v in range(u + 1, hi):
+                g.add_edge(u, v)
+    g.add_edge(0, 30)
+    result = power_iteration(g)
+    assert result.iterations >= 60
+    assert 2 * result.iterations * math.log10(result.spectral_radius) > 400
+    expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+    assert result.spectral_radius == pytest.approx(expected, rel=1e-9)
+    assert np.linalg.norm(result.principal_eigenvector) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_new_nodes_start_from_the_eigen_equation():
+    # A triangle with a pendant path: connected and not regular.
+    g = Graph(5)
+    for u, v in ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)):
+        g.add_edge(u, v)
+    solved = power_iteration(g)
+    vec, radius = solved.principal_eigenvector, solved.spectral_radius
+    assert g.warm_radius == radius
+    a = g.add_node()
+    g.add_edge(a, 0)
+    g.add_edge(a, 3)
+    b = g.add_node()
+    g.add_edge(b, a)  # a was not in the stored iterate, so it adds nothing
+    g.add_edge(b, 4)
+    x = _start_vector(g, connected=True)
+    assert np.array_equal(x[:5], vec)
+    assert x[a] == pytest.approx((vec[0] + vec[3]) / radius, rel=1e-15)
+    assert x[b] == pytest.approx(vec[4] / radius, rel=1e-15)
+    expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+    assert power_iteration(g).spectral_radius == pytest.approx(expected, abs=1e-8)
+    h = g.copy()
+    assert h.warm_vector is None and h.warm_radius == 0.0
+    assert np.array_equal(_start_vector(h, connected=True), np.ones(7))

@@ -12,6 +12,7 @@ from netspectra import (
     ws_rewire,
 )
 from netspectra.graph import degree_stats
+from netspectra.ws import _nth_outside
 
 
 def test_config_validation():
@@ -159,3 +160,44 @@ def test_evolve_without_observer_matches_rewire():
     g = ws_initialize(cfg)
     ws_rewire(g, cfg, np.random.default_rng(11))
     assert ws_evolve(cfg, np.random.default_rng(11)) == g
+
+
+def test_nth_outside_matches_candidate_list():
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        total = int(rng.integers(2, 60))
+        u = int(rng.integers(total))
+        drawn = rng.choice(total, int(rng.integers(total)), replace=False)
+        taken = {int(w) for w in drawn} - {u}
+        candidates = [w for w in range(total) if w != u and w not in taken]
+        excluded = sorted(taken | {u})
+        assert [_nth_outside(excluded, j) for j in range(len(candidates))] == candidates
+
+
+def reference_rewire(config, rng):
+    """The sweep drawing each new endpoint from an explicit candidate list."""
+    g = ws_initialize(config)
+    events = []
+    for u, v in initial_edges(config.nodes_per_ring):
+        if rng.random() > config.rewiring_probability:
+            continue
+        taken = g.neighbors(u)
+        candidates = [w for w in range(g.node_count) if w != u and w != v and w not in taken]
+        if not candidates:
+            events.append(RewireEvent((u, v), None))
+            continue
+        w = candidates[int(rng.integers(len(candidates)))]
+        g.remove_edge(u, v)
+        g.add_edge(u, w)
+        events.append(RewireEvent((u, v), (min(u, w), max(u, w))))
+    return g, events
+
+
+@pytest.mark.parametrize(
+    "ring, beta, seed", [(3, 1.0, 0), (10, 1.0, 7), (50, 0.5, 1), (50, 1.0, 2), (200, 0.3, 3)]
+)
+def test_rewire_draws_match_candidate_list_reference(ring, beta, seed):
+    cfg = WSConfig(nodes_per_ring=ring, rewiring_probability=beta)
+    g = ws_initialize(cfg)
+    events = ws_rewire(g, cfg, np.random.default_rng(seed))
+    assert (g, events) == reference_rewire(cfg, np.random.default_rng(seed))
