@@ -19,7 +19,7 @@ from netspectra import (
     ws_initialize,
     ws_rewire,
 )
-from netspectra.spectral import _start_vector
+from netspectra.spectral import _DENSE_MAX_NODES, _dense_fourth_power, _iterate, _start_vector
 
 from helpers import (
     adjacency_matrix,
@@ -133,8 +133,9 @@ def test_exhausted_budget_raises_with_partial_result():
 
 
 def test_shift_retry_rescues_slow_convergence():
+    # plain iteration needs 92 multiplies here, the shifted one 24
     g = nearly_bipartite_graph()
-    result = power_iteration(g, PowerIterationConfig(max_iterations=20))
+    result = power_iteration(g, PowerIterationConfig(max_iterations=32))
     assert result.converged
     assert result.shifted
     # dense eigensolver value, frozen
@@ -277,8 +278,10 @@ def test_solve_after_minor_component_overtakes():
 PINNED_GRAPHS = {
     "ws-beta-0.5": lambda: ws_evolve(WSConfig(50, 0.5), np.random.default_rng(21)),
     "ws-beta-1.0": lambda: ws_evolve(WSConfig(50, 1.0), np.random.default_rng(22)),
+    "ws-ring-70": lambda: ws_evolve(WSConfig(70, 0.5), np.random.default_rng(25)),
     "ba-300": lambda: ba_evolve(BAConfig(3, 300, 2), np.random.default_rng(23)),
     "erdos-renyi": lambda: erdos_renyi(40, 0.15, np.random.default_rng(24)),
+    "erdos-renyi-150": lambda: erdos_renyi(150, 0.05, np.random.default_rng(26)),
     "star": lambda: star_graph(9),
     "nearly-bipartite": nearly_bipartite_graph,
 }
@@ -286,32 +289,109 @@ PINNED_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
 def test_kernel_matches_normalized_reference_loop(name):
+    # Above the dense cutoff each step is one sparse multiply, which must
+    # reproduce the normalized loop; at or below it, steps multiply by A**4,
+    # so the radius is checked against the dense eigensolver instead.
     g = PINNED_GRAPHS[name]()
-    radius, iterations, converged = reference_power_iteration(g)
-    assert converged
     result = power_iteration(g)
     assert result.converged and not result.shifted
+    if g.node_count <= _DENSE_MAX_NODES:
+        expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+        assert result.spectral_radius == pytest.approx(expected, rel=1e-9)
+        return
+    radius, iterations, converged = reference_power_iteration(g)
+    assert converged
     assert result.spectral_radius == pytest.approx(radius, rel=1e-12)
     assert abs(result.iterations - iterations) <= 1
 
 
-def test_rescaled_iterate_keeps_radius():
-    # Cliques of 30 and 29 nodes joined by one edge: radius ~29.002 with the
-    # second eigenvalue at 28, so the solve runs for hundreds of multiplies and
-    # the unnormalized iterate's squared norm, growing ~radius**2 per multiply,
-    # would overflow float64 several times over without rescaling.
-    g = Graph(59)
-    for lo, hi in ((0, 30), (30, 59)):
+def joined_cliques(a, b):
+    """Cliques on a and b nodes joined by one edge: the radius sits just
+    above a - 1 with the second eigenvalue near b - 1, so convergence is slow."""
+    g = Graph(a + b)
+    for lo, hi in ((0, a), (a, a + b)):
         for u in range(lo, hi):
             for v in range(u + 1, hi):
                 g.add_edge(u, v)
-    g.add_edge(0, 30)
+    g.add_edge(0, a)
+    return g
+
+
+def assert_radius_survives_rescaling(g):
+    # The unnormalized iterate's squared norm grows ~radius**2 per multiply,
+    # so over this many multiplies it would overflow float64 several times
+    # over without rescaling.
     result = power_iteration(g)
     assert result.iterations >= 60
     assert 2 * result.iterations * math.log10(result.spectral_radius) > 400
     expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
     assert result.spectral_radius == pytest.approx(expected, rel=1e-9)
     assert np.linalg.norm(result.principal_eigenvector) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rescaled_iterate_keeps_radius():
+    # 59 nodes: dense A**4 steps; radius ~29.002, second eigenvalue 28
+    assert_radius_survives_rescaling(joined_cliques(30, 29))
+
+
+def test_rescaled_sparse_iterate_keeps_radius():
+    # 129 nodes, one past the dense cutoff: sparse multiplies
+    g = joined_cliques(65, 64)
+    assert g.node_count == _DENSE_MAX_NODES + 1
+    assert_radius_survives_rescaling(g)
+
+
+@pytest.mark.parametrize("n", [_DENSE_MAX_NODES, _DENSE_MAX_NODES + 1])
+def test_radius_on_either_side_of_dense_cutoff(n):
+    g = ba_evolve(BAConfig(3, n, 2), np.random.default_rng(27))
+    assert g.node_count == n
+    result = power_iteration(g)
+    assert result.converged and not result.shifted
+    radius = result.spectral_radius
+    assert radius == pytest.approx(np.linalg.eigvalsh(adjacency_matrix(g))[-1], rel=1e-9)
+    # Hofmeister's bracket: sqrt(<k**2>) <= radius <= k_max
+    degrees = g.degree_array()
+    assert math.sqrt(np.mean(degrees.astype(float) ** 2)) <= radius + 1e-12
+    assert radius <= degrees.max() + 1e-12
+    if n <= _DENSE_MAX_NODES:
+        assert result.iterations % 4 == 0  # dense steps only
+
+
+@pytest.mark.parametrize("max_iterations", range(1, 10))
+def test_dense_steps_never_overshoot_budget(max_iterations):
+    # Both the plain and the shifted solve need more than 9 multiplies here,
+    # so every budget fails, with a remainder under 4 spent on sparse steps.
+    config = PowerIterationConfig(max_iterations=max_iterations)
+    with pytest.raises(NotConvergedError) as exc:
+        power_iteration(nearly_bipartite_graph(), config)
+    partial = exc.value.result
+    assert partial.iterations == max_iterations
+    assert np.linalg.norm(partial.principal_eigenvector) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_dense_fourth_power_is_exact_at_the_cutoff(shift):
+    # The complete graph has the largest walk counts: (A + I)**4 = n**3 J.
+    n = _DENSE_MAX_NODES
+    g = complete_graph(n)
+    a = adjacency_matrix(g).astype(np.int64) + int(shift) * np.eye(n, dtype=np.int64)
+    src, dst = g.arcs()
+    m = _dense_fourth_power(src, dst, n, shift)
+    assert m.dtype == np.float64
+    assert np.array_equal(m, np.linalg.matrix_power(a, 4))
+
+
+def test_shifted_dense_path_converges():
+    g = nearly_bipartite_graph()
+    src, dst = g.arcs()
+    radius, vec, iterations, converged, _ = _iterate(
+        src, dst, np.ones(g.node_count), PowerIterationConfig(), shift=1.0
+    )
+    assert converged
+    assert iterations % 4 == 0
+    expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+    assert radius - 1.0 == pytest.approx(expected, rel=1e-9)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_new_nodes_start_from_the_eigen_equation():
