@@ -77,21 +77,25 @@ def select_targets(g: Graph, links: int, rng: np.random.Generator) -> set[int]:
     count = g.node_count
     if links >= count:
         return set(range(count))
-    weights = g.degree_array().astype(np.float64)
+    # Running degree totals; a drawn node's degree is taken out of every
+    # total from its own on. The totals are integers below 2**53, exact in a
+    # float, and an integer total exceeds r exactly when it exceeds int(r),
+    # so the search needs no float copy of them.
+    cumulative = g.degree_array().cumsum()
     chosen: set[int] = set()
     for _ in range(links):
-        total = weights.sum()
+        total = int(cumulative[-1])
         if total <= 0:
             raise ZeroDegreeSumError(
                 "roulette selection ran out of positive-degree candidates"
             )
         r = rng.random() * total
-        cumulative = np.cumsum(weights)
-        idx = int(np.searchsorted(cumulative, r, side="right"))
+        idx = int(cumulative.searchsorted(int(r), side="right"))
         if idx >= count:
             idx = count - 1
         chosen.add(idx)
-        weights[idx] = 0.0  # without replacement
+        # without replacement
+        cumulative[idx:] -= cumulative[idx] - (cumulative[idx - 1] if idx else 0)
     return chosen
 
 

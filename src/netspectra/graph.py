@@ -4,8 +4,8 @@ Nodes are dense 0-based integer IDs assigned in creation order. Adjacency is
 kept as one neighbor set per node, so self-loops and parallel edges cannot be
 represented. Next to the sets, the graph keeps the arrays the spectral solver
 and the degree statistics read, updated in place on every mutation: both
-directions of every edge as (source, destination) arc arrays, and the degree
-of every node.
+directions of every edge as (source, destination) arc arrays, the degree of
+every node, the number of isolated nodes and the sum of squared degrees.
 """
 
 from __future__ import annotations
@@ -53,8 +53,12 @@ class Graph:
 
     Connected components are tracked by union-find: an added edge merges two
     components, and a removed edge splits one only if its endpoints no longer
-    reach each other, which is checked by search and then rebuilds the
-    union-find.
+    reach each other. Endpoints that still share a neighbour do; otherwise a
+    search decides, and a split rebuilds the union-find.
+
+    Every mutation also updates the count of isolated nodes and the sum of
+    squared degrees by the change it makes, so ``edge_components`` and
+    ``degree_stats`` read them without a pass over the degrees.
 
     ``warm_vector`` is the last converged power-iteration iterate on this
     graph while it was connected, or None, and ``warm_radius`` the spectral
@@ -72,6 +76,8 @@ class Graph:
         "_deg",
         "_parent",
         "_components",
+        "_isolated",
+        "_square_sum",
         "warm_vector",
         "warm_radius",
     )
@@ -87,6 +93,8 @@ class Graph:
         self._deg = np.zeros(max(node_count, _MIN_CAPACITY), dtype=np.int64)
         self._parent = list(range(node_count))
         self._components = node_count
+        self._isolated = node_count
+        self._square_sum = 0  # sum of squared degrees
         self.warm_vector: np.ndarray | None = None
         self.warm_radius = 0.0
 
@@ -105,6 +113,7 @@ class Graph:
         self._deg = _grown(self._deg, node + 1)
         self._parent.append(node)
         self._components += 1
+        self._isolated += 1
         return node
 
     def _check_node(self, u: int) -> None:
@@ -124,8 +133,15 @@ class Graph:
             raise SelfLoopError(f"self-loop {u}-{v}")
         if v in self._adj[u]:
             raise DuplicateEdgeError(f"edge {u}-{v} already present")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        nu = self._adj[u]
+        nv = self._adj[v]
+        nu.add(v)
+        nv.add(u)
+        # a degree d -> d + 1 adds 2d + 1 to the sum of squares
+        du = len(nu)
+        dv = len(nv)
+        self._square_sum += 2 * (du + dv) - 2
+        self._isolated -= (du == 1) + (dv == 1)
         i = self._edge_count
         self._src = _grown(self._src, 2 * i + 2)
         self._dst = _grown(self._dst, 2 * i + 2)
@@ -144,8 +160,15 @@ class Graph:
         self._check_node(v)
         if v not in self._adj[u]:
             raise MissingEdgeError(f"edge {u}-{v} not present")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        nu = self._adj[u]
+        nv = self._adj[v]
+        nu.discard(v)
+        nv.discard(u)
+        # a degree d + 1 -> d takes 2d + 1 from the sum of squares
+        du = len(nu)
+        dv = len(nv)
+        self._square_sum -= 2 * (du + dv) + 2
+        self._isolated += (du == 0) + (dv == 0)
         i = self._slot.pop((u, v) if u < v else (v, u))
         last = self._edge_count - 1
         if i != last:
@@ -157,7 +180,7 @@ class Graph:
         self._deg[u] -= 1
         self._deg[v] -= 1
         self._edge_count = last
-        if not self._reaches(u, v):
+        if nu.isdisjoint(nv) and not self._reaches(u, v):
             self._parent = list(range(len(self._adj)))
             for a, b in self._slot:
                 self._union(a, b)
@@ -218,7 +241,7 @@ class Graph:
 
     def edge_components(self) -> int:
         """Number of connected components that contain at least one edge."""
-        return self._components - int(np.count_nonzero(self.degree_array() == 0))
+        return self._components - self._isolated
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and destination arrays of both directions of every edge
@@ -243,6 +266,8 @@ class Graph:
         g._deg = self._deg.copy()
         g._parent = list(self._parent)
         g._components = self._components
+        g._isolated = self._isolated
+        g._square_sum = self._square_sum
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -280,14 +305,16 @@ def degree_stats(g: Graph) -> DegreeStats:
 
     The variance comes from exact integer moments, (n*S2 - S1**2) / n**2 with
     S1 and S2 the sums of degrees and squared degrees, so it is correctly
-    rounded and independent of node order.
+    rounded and independent of node order. Both sums are kept by the graph as
+    it mutates (S1 is twice the edge count), so only the extremes take a pass
+    over the degrees.
     """
     n = g.node_count
     if n == 0:
         raise EmptyGraphError("degree statistics need at least one node")
     degs = g.degree_array()
     s1 = 2 * g.edge_count
-    s2 = int(degs @ degs)
+    s2 = g._square_sum
     variance = (n * s2 - s1 * s1) / (n * n)
     return DegreeStats(
         k_min=int(degs.min()), k_max=int(degs.max()), k_avg=s1 / n, k_sd=math.sqrt(variance)

@@ -11,7 +11,9 @@ tracked step by step, numpy's per-call overhead, not arithmetic, sets its
 cost. On graphs of at most 128 nodes each solve therefore builds the dense
 fourth power of the matrix once from the arcs, and a step is one
 matrix-vector product that does the work of four multiplies for about the
-cost of one sparse multiply.
+cost of one sparse multiply. Dense steps run in a loop of their own, and
+sparse multiplies in another that takes over from it near the end of the
+iteration budget; both apply the same stopping rule.
 
 Evolution runs solve after every one-to-few edge change, and a change that
 small moves the principal eigenvector little. Each solve on a connected graph
@@ -108,8 +110,8 @@ def _dense_fourth_power(src: np.ndarray, dst: np.ndarray, n: int, shift: float) 
     m[dst, src] = 1.0
     if shift:
         m.flat[:: n + 1] = shift
-    m = m @ m
-    return (m @ m).astype(np.float64)
+    m = m.dot(m)
+    return m.dot(m).astype(np.float64)
 
 
 def _iterate(
@@ -128,42 +130,56 @@ def _iterate(
     iterate is rescaled only when its squared norm passes _RESCALE_ABOVE, and
     the returned vector is normalized.
 
-    On a graph of at most _DENSE_MAX_NODES nodes, a step is one product with
-    the dense M = (A + shift*I)**4, built once per call: it counts as 4
-    multiplies and its estimate is (yy_k / yy_{k-1}) ** (1/8), the geometric
-    mean of the 4 growth factors. A step never takes the count past
-    ``max_iterations``: with fewer than 4 multiplies left, and on larger
-    graphs, a step is one sparse multiply (a gather and a bincount over the
-    arcs).
+    On a graph of at most _DENSE_MAX_NODES nodes, the solve first runs its
+    own loop of products with the dense M = (A + shift*I)**4, built once per
+    call: a step counts as 4 multiplies and its estimate is
+    (yy_k / yy_{k-1}) ** (1/8), the geometric mean of the 4 growth factors.
+    A step never takes the count past ``max_iterations``: with fewer than 4
+    multiplies left, the dense loop hands its iterate and last estimate to
+    the sparse loop, whose step is one multiply (a gather and a bincount over
+    the arcs) and which alone runs on larger graphs. Both loops apply the
+    same stopping rule, zero-norm guard and rescaling to that running state.
     """
     n = len(x)
     budget = config.max_iterations
-    dense = None
-    if n <= _DENSE_MAX_NODES and budget >= 4:
-        dense = _dense_fourth_power(src, dst, n, shift)
+    tolerance = config.tolerance
     xx = x.dot(x)
     prev_norm = -1.0
     residual = math.inf
     iterations = 0
+    if n <= _DENSE_MAX_NODES and budget >= 4:
+        m_dot = _dense_fourth_power(src, dst, n, shift).dot
+        while budget - iterations >= 4:
+            y = m_dot(x)
+            iterations += 4
+            yy = y.dot(y)
+            if yy == 0.0:
+                # A annihilated the iterate: only possible with no edges at
+                # all, where the radius is exactly zero.
+                return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
+            norm = (yy / xx) ** 0.125
+            if prev_norm >= 0.0:
+                residual = abs(norm - prev_norm)
+                if residual <= tolerance:
+                    return norm, y / math.sqrt(yy), iterations, True, residual
+            prev_norm = norm
+            if yy > _RESCALE_ABOVE:
+                y /= math.sqrt(yy)
+                yy = 1.0
+            x, xx = y, yy
+    bincount = np.bincount
     while iterations < budget:
-        if dense is not None and budget - iterations >= 4:
-            y = dense @ x
-            step = 4
-        else:
-            y = np.bincount(dst, x[src], n)
-            if shift:
-                y += shift * x
-            step = 1
-        iterations += step
+        y = bincount(dst, x[src], n)
+        if shift:
+            y += shift * x
+        iterations += 1
         yy = y.dot(y)
         if yy == 0.0:
-            # A annihilated the iterate: only possible with no edges at all,
-            # where the radius is exactly zero.
             return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
-        norm = math.sqrt(yy / xx) if step == 1 else (yy / xx) ** 0.125
+        norm = math.sqrt(yy / xx)
         if prev_norm >= 0.0:
             residual = abs(norm - prev_norm)
-            if residual <= config.tolerance:
+            if residual <= tolerance:
                 return norm, y / math.sqrt(yy), iterations, True, residual
         prev_norm = norm
         if yy > _RESCALE_ABOVE:

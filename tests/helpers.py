@@ -1,10 +1,13 @@
-"""Shared graph builders and an independent spectral radius oracle for tests."""
+"""Shared graph builders, an independent spectral radius oracle and frozen
+copies of earlier solver and selection loops for tests."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from netspectra import Graph
+from netspectra import Graph, ZeroDegreeSumError
 
 
 def cycle_graph(n: int) -> Graph:
@@ -111,3 +114,75 @@ def reference_power_iteration(
             return norm, iterations, True
         prev_norm = norm
     return prev_norm, max_iterations, False
+
+
+def reference_iterate(
+    src: np.ndarray,
+    dst: np.ndarray,
+    x: np.ndarray,
+    tolerance: float,
+    max_iterations: int,
+    shift: float,
+) -> tuple[float, np.ndarray, int, bool, float]:
+    """``spectral._iterate`` as it was with one loop for both kernels: each
+    step tests whether to take a dense (A + shift*I)**4 product (at most 128
+    nodes, at least 4 multiplies of budget left) or one sparse multiply."""
+    n = len(x)
+    dense = None
+    if n <= 128 and max_iterations >= 4:
+        m = np.zeros((n, n), dtype=np.float32)
+        m[dst, src] = 1.0
+        if shift:
+            m.flat[:: n + 1] = shift
+        m = m @ m
+        dense = (m @ m).astype(np.float64)
+    xx = x.dot(x)
+    prev_norm = -1.0
+    residual = math.inf
+    iterations = 0
+    while iterations < max_iterations:
+        if dense is not None and max_iterations - iterations >= 4:
+            y = dense @ x
+            step = 4
+        else:
+            y = np.bincount(dst, x[src], n)
+            if shift:
+                y += shift * x
+            step = 1
+        iterations += step
+        yy = y.dot(y)
+        if yy == 0.0:
+            return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
+        norm = math.sqrt(yy / xx) if step == 1 else (yy / xx) ** 0.125
+        if prev_norm >= 0.0:
+            residual = abs(norm - prev_norm)
+            if residual <= tolerance:
+                return norm, y / math.sqrt(yy), iterations, True, residual
+        prev_norm = norm
+        if yy > 1e200:
+            y /= math.sqrt(yy)
+            yy = 1.0
+        x, xx = y, yy
+    return prev_norm, x / math.sqrt(xx), iterations, False, residual
+
+
+def reference_select_targets(degrees: np.ndarray, links: int, rng: np.random.Generator) -> set[int]:
+    """``ba.select_targets`` as it was: a float copy of the degrees, one fresh
+    cumulative sum per draw and the drawn weight zeroed."""
+    count = len(degrees)
+    if links >= count:
+        return set(range(count))
+    weights = np.asarray(degrees).astype(np.float64)
+    chosen: set[int] = set()
+    for _ in range(links):
+        total = weights.sum()
+        if total <= 0:
+            raise ZeroDegreeSumError("roulette selection ran out of positive-degree candidates")
+        r = rng.random() * total
+        cumulative = np.cumsum(weights)
+        idx = int(np.searchsorted(cumulative, r, side="right"))
+        if idx >= count:
+            idx = count - 1
+        chosen.add(idx)
+        weights[idx] = 0.0
+    return chosen

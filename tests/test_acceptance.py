@@ -6,8 +6,8 @@ pytest -s; pytest -v reports the pass/fail verdict per criterion either way).
 The heavy multi-run conditions are computed once in module fixtures and
 shared between the tests that grade them.
 
-The degree bound k_avg <= radius <= k_max has to hold not just on random
-graphs but on every graph the other checks generate. The model conditions are
+The degree bound k_avg <= sqrt(<k**2>) <= radius <= k_max has to hold not
+just on random graphs but on every graph the other checks generate. The model conditions are
 therefore driven through local variants of the library runners whose
 observers assert the bound (and, for rewiring, link conservation) at every
 recorded step. The checks draw no randomness, so these variants consume the
@@ -15,6 +15,7 @@ generator exactly like run_ba_condition and run_ws_condition and their
 summaries are identical for the same seeds.
 """
 
+import math
 import time
 
 import numpy as np
@@ -55,6 +56,9 @@ def assert_degree_bound(g, radius):
     assert stats.k_min <= stats.k_avg + BOUND_TOL
     assert stats.k_avg <= radius + BOUND_TOL
     assert radius <= stats.k_max + BOUND_TOL
+    # Hofmeister: radius >= ||A 1|| / ||1|| = sqrt(<k**2>)
+    degs = g.degree_array()
+    assert math.sqrt(int(degs @ degs) / g.node_count) <= radius + BOUND_TOL
 
 
 def checked_snapshot(g, step):

@@ -11,7 +11,7 @@ from netspectra import (
 )
 from netspectra.graph import Graph
 
-from helpers import complete_graph, path_graph
+from helpers import complete_graph, path_graph, reference_select_targets
 
 
 class ScriptedRng:
@@ -182,3 +182,58 @@ def test_early_nodes_become_hubs():
         early.append(sum(degs[:3]) / 3)
         late.append(sum(degs[90:]) / 10)
     assert sum(early) / len(early) > sum(late) / len(late)
+
+
+class _DegreeSequence:
+    """What select_targets reads of a graph, for degree arrays no simple
+    graph has (a single node of positive degree)."""
+
+    def __init__(self, degrees):
+        self._degrees = np.asarray(degrees, dtype=np.int64)
+        self.node_count = len(self._degrees)
+
+    def degree_array(self):
+        return self._degrees
+
+
+def _select_both(degrees, links, seed):
+    """Outcome of select_targets and of the frozen float-cumsum loop, each on
+    its own generator from ``seed``: the targets or the exception type, and
+    the generator's state afterwards."""
+    outcomes = []
+    for select in (
+        lambda rng: select_targets(_DegreeSequence(degrees), links, rng),
+        lambda rng: reference_select_targets(degrees, links, rng),
+    ):
+        rng = np.random.default_rng(seed)
+        try:
+            got = select(rng)
+        except ZeroDegreeSumError as exc:
+            got = type(exc)
+        outcomes.append((got, rng.bit_generator.state))
+    return outcomes
+
+
+def test_select_targets_draws_match_float_cumsum_reference():
+    rng = np.random.default_rng(4040)
+    for trial in range(1500):
+        count = int(rng.integers(1, 60))
+        degrees = rng.integers(0, 12, size=count)
+        degrees[rng.random(count) < 0.3] = 0  # zero-degree nodes
+        links = int(rng.integers(1, count + 3))  # links >= count included
+        new, old = _select_both(degrees, links, seed=trial)
+        assert new == old
+    # skewed sequences: one hub far above the rest
+    for trial in range(200):
+        degrees = rng.integers(0, 3, size=200)
+        degrees[int(rng.integers(200))] = 10_000
+        new, old = _select_both(degrees, 5, seed=10_000 + trial)
+        assert new == old
+
+
+def test_select_targets_single_positive_node_runs_out_on_second_draw():
+    degrees = [0, 0, 7, 0]
+    new, old = _select_both(degrees, 1, seed=5)
+    assert new == old and new[0] == {2}
+    new, old = _select_both(degrees, 2, seed=5)
+    assert new == old and new[0] is ZeroDegreeSumError

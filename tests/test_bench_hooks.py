@@ -54,6 +54,14 @@ def run_probe(tmp_path, cli_args):
     assert set(report["absent_hooks"]) <= RETIRED_HOOKS
     assert report["oracle"]["samples"] > 0
     assert report["oracle"]["bad"] == 0
+    # Each snapshot takes its degree statistics once and then either solves
+    # or takes the regular-graph shortcut; a hooked function that a caller
+    # reaches without going through its module global drops out of these.
+    layers, counts = report["layers"], report["counts"]
+    snapshots = layers["metrics.snapshot"]["calls"]
+    assert layers["graph.degree_stats"]["calls"] == snapshots
+    solves = layers["spectral.solve"]["calls"]
+    assert solves + counts.get("spectral.regular_shortcuts", 0) == snapshots
     return report
 
 

@@ -292,12 +292,23 @@ def _reference_degree_stats(degs):
     return min(degs), max(degs), k_avg, k_sd
 
 
+def _assert_counters_match_recount(g):
+    # The sum of squared degrees and the isolated-node count the graph keeps,
+    # read through degree_stats (exactly) and edge_components, against a
+    # recount from the neighbor sets.
+    degs = [len(g.neighbors(u)) for u in range(g.node_count)]
+    n, s1, s2 = len(degs), sum(degs), sum(d * d for d in degs)
+    assert degree_stats(g).k_sd == math.sqrt((n * s2 - s1 * s1) / (n * n))
+    assert g.edge_components() == _edge_components_by_search(g)
+
+
 def test_incremental_arrays_track_random_mutations():
-    # arcs, degree array and component count against recomputation from the
-    # neighbor sets after every add, remove and node arrival
+    # arcs, degree array, degree moments, isolated nodes and component count
+    # against recomputation from the neighbor sets after every add, remove
+    # and node arrival, on the graph and on a copy that then takes over
     rng = np.random.default_rng(20240611)
     g = Graph(5)
-    for _ in range(1500):
+    for step in range(1500):
         r = rng.random()
         if r < 0.03:
             g.add_node()
@@ -317,6 +328,29 @@ def test_incremental_arrays_track_random_mutations():
         assert (stats.k_min, stats.k_max) == (k_min, k_max)
         assert stats.k_avg == pytest.approx(k_avg, abs=1e-12)
         assert stats.k_sd == pytest.approx(k_sd, abs=1e-12)
+        _assert_counters_match_recount(g)
+        h = g.copy()
+        _assert_counters_match_recount(h)
+        if step % 100 == 99:
+            g = h
+
+
+@pytest.mark.parametrize(
+    "edge, components",
+    [
+        ((0, 1), 1),  # on the triangle 0-1-2: 0 and 1 still share neighbour 2
+        ((2, 3), 2),  # the bridge: 0-1-2 and 3-4 split
+    ],
+)
+def test_removal_splits_only_at_a_bridge(edge, components):
+    g = Graph(5)
+    for u, v in ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)):
+        g.add_edge(u, v)
+    g.remove_edge(*edge)
+    assert g.edge_components() == components
+    # the component structure stays right for the removals that follow
+    for u, v in sorted(g.edges()):
+        g.remove_edge(u, v)
         assert g.edge_components() == _edge_components_by_search(g)
 
 

@@ -28,6 +28,7 @@ from helpers import (
     disjoint_union,
     erdos_renyi,
     path_graph,
+    reference_iterate,
     reference_power_iteration,
     star_graph,
     trace_oracle_spectral_radius,
@@ -417,3 +418,49 @@ def test_new_nodes_start_from_the_eigen_equation():
     h = g.copy()
     assert h.warm_vector is None and h.warm_radius == 0.0
     assert np.array_equal(_start_vector(h, connected=True), np.ones(7))
+
+
+# (graph, start, max_iterations, shift) cases for the bit-identity guard:
+# dense and sparse graphs, warm (non-constant) starts, budgets that hand a
+# dense solve over to sparse steps, the shifted retry, rescaling on both
+# kernels and an edgeless graph's zero-norm guard.
+def _iterate_cases():
+    rng = np.random.default_rng(31)
+    ws = ws_evolve(WSConfig(50, 0.5), np.random.default_rng(32))
+    ba = ba_evolve(BAConfig(3, 300, 2), np.random.default_rng(33))
+    bip = nearly_bipartite_graph()
+    cases = {
+        "dense-cold": (ws, np.ones(100), 100_000, 0.0),
+        "dense-warm": (ws, rng.random(100) + 0.5, 100_000, 0.0),
+        "sparse-cold": (ba, np.ones(300), 100_000, 0.0),
+        "sparse-warm": (ba, rng.random(300) + 0.5, 100_000, 0.0),
+        "bipartite-plain": (bip, np.ones(10), 100_000, 0.0),
+        "bipartite-shifted": (bip, np.ones(10), 100_000, 1.0),
+        "sparse-shifted": (ba, np.ones(300), 100_000, 1.0),
+        "rescaled-dense": (joined_cliques(30, 29), np.ones(59), 100_000, 0.0),
+        "rescaled-sparse": (joined_cliques(65, 64), np.ones(129), 100_000, 0.0),
+        "edgeless": (Graph(6), np.ones(6), 100_000, 0.0),
+    }
+    for budget in range(4, 10):
+        cases[f"handover-{budget}"] = (ws, np.ones(100), budget, 0.0)
+        cases[f"handover-shifted-{budget}"] = (bip, np.ones(10), budget, 1.0)
+    return cases
+
+
+ITERATE_CASES = _iterate_cases()
+
+
+@pytest.mark.parametrize("name", sorted(ITERATE_CASES))
+def test_iterate_is_bit_identical_to_one_loop_reference(name):
+    g, x, budget, shift = ITERATE_CASES[name]
+    src, dst = g.arcs()
+    config = PowerIterationConfig(max_iterations=budget)
+    radius, vec, iterations, converged, residual = _iterate(
+        src, dst, x.copy(), config, shift
+    )
+    ref_radius, ref_vec, *ref_rest = reference_iterate(
+        src, dst, x.copy(), config.tolerance, budget, shift
+    )
+    assert radius == ref_radius
+    assert np.array_equal(vec, ref_vec)
+    assert [iterations, converged, residual] == ref_rest
