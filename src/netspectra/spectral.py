@@ -8,12 +8,15 @@ even at thousands of nodes. The iterate stays unnormalized between
 multiplies and the radius estimate is the growth of its norm, so an
 iteration is the gather, the bincount and one dot product. At the sizes
 tracked step by step, numpy's per-call overhead, not arithmetic, sets its
-cost. On graphs of at most 128 nodes each solve therefore builds the dense
-fourth power of the matrix once from the arcs, and a step is one
-matrix-vector product that does the work of four multiplies for about the
-cost of one sparse multiply. Dense steps run in a loop of their own, and
-sparse multiplies in another that takes over from it near the end of the
-iteration budget; both apply the same stopping rule.
+cost. On graphs of at most 128 nodes each solve therefore builds a dense
+power of the matrix once from the arcs by float32 squarings: the eighth
+power when all its entries (walk counts) stay below 2**24, so that float32
+holds them exactly, else the fourth. A step is one matrix-vector product
+that does the work of eight (or four) multiplies for about the cost of one
+sparse multiply. Dense steps run in a loop of their own, which steps with
+the fourth power once fewer than eight multiplies of budget are left, and
+sparse multiplies in another that takes over from it when fewer than four
+are left; both apply the same stopping rule.
 
 Evolution runs solve after every one-to-few edge change, and a change that
 small moves the principal eigenvector little. Each solve on a connected graph
@@ -39,16 +42,18 @@ DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
 
 # Squared iterate norm above which _iterate rescales its unnormalized iterate.
-# One step grows it by at most (radius + shift)**8: below 1e17 for a dense
-# step (at most 128 nodes) and radius**2 for a sparse one, far below the
-# 1e108 left before float64 overflows.
+# One step grows it by at most (radius + shift)**16: below 1e34 for a dense
+# M8 step (at most 128 nodes), (radius + shift)**8 for an M4 step and
+# radius**2 for a sparse one, far below the 1e108 left before float64
+# overflows.
 _RESCALE_ABOVE = 1e200
 
-# Node count up to which _iterate steps with the dense fourth power of the
-# matrix. At these sizes numpy's per-call overhead, not arithmetic, sets the
-# cost of a sparse multiply, and one dense matrix-vector product costs about
-# as much as one sparse multiply while doing the work of four. At most 256,
-# where _dense_fourth_power stops being exact.
+# Node count up to which _iterate steps with a dense power of the matrix.
+# At these sizes numpy's per-call overhead, not arithmetic, sets the cost of
+# a sparse multiply, and one dense matrix-vector product costs about as much
+# as one sparse multiply while doing the work of eight (or four). At most
+# 256, up to which _dense_powers' fourth power is always exact; a dense step
+# grows the squared norm by at most (127 + 1)**16 here, see _RESCALE_ABOVE.
 _DENSE_MAX_NODES = 128
 
 
@@ -82,7 +87,8 @@ class SpectralResult:
 
     ``iterations`` counts multiplies by the adjacency matrix from the solve's
     starting vector: the graph's previous converged iterate (a warm start) or
-    the all-ones vector. A step with the dense fourth power counts 4.
+    the all-ones vector. A step with a dense power counts as that many
+    multiplies: 8 with the eighth power, 4 with the fourth.
 
     ``principal_eigenvector`` is the final iterate, normalized. The estimates
     converge to the spectral radius for any graph, but on a bipartite graph
@@ -99,19 +105,29 @@ class SpectralResult:
     shifted: bool = False
 
 
-def _dense_fourth_power(src: np.ndarray, dst: np.ndarray, n: int, shift: float) -> np.ndarray:
-    """(A + shift*I)**4 as an n x n float64 array, A filled from the arc arrays.
+def _dense_powers(
+    src: np.ndarray, dst: np.ndarray, n: int, shift: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """M4 = (A + shift*I)**4 and M8 = M4 @ M4 as n x n float32 arrays, A
+    filled from the arc arrays; M8 is None when it is not exact.
 
-    With shift 0 or 1 every entry and every partial sum of both squarings is
-    a walk count of at most n**3, an integer below 2**24 for n <= 256, so the
-    squarings run exactly in float32, at about twice the float64 speed.
+    With shift 0 or 1 every product and partial sum formed while squaring
+    is a count of walks: a nonnegative integer no larger than the entry it
+    adds up to. float32 holds every integer up to 2**24 and rounds
+    monotonically, so the first inexact operation gives at least 2**24, and
+    so does the entry it feeds. A largest entry below 2**24 therefore proves
+    a squaring exact. M4's entries are at most n**3 <= 2**24 for n <= 256,
+    so M4 is always exact; M8 is returned only when its largest entry is
+    below 2**24, and then equals the integer matrix power.
     """
     m = np.zeros((n, n), dtype=np.float32)
     m[dst, src] = 1.0
     if shift:
         m.flat[:: n + 1] = shift
     m = m.dot(m)
-    return m.dot(m).astype(np.float64)
+    m4 = m.dot(m)
+    m8 = m4.dot(m4)
+    return m4, (m8 if m8.max() < 2**24 else None)
 
 
 def _iterate(
@@ -131,14 +147,16 @@ def _iterate(
     the returned vector is normalized.
 
     On a graph of at most _DENSE_MAX_NODES nodes, the solve first runs its
-    own loop of products with the dense M = (A + shift*I)**4, built once per
-    call: a step counts as 4 multiplies and its estimate is
-    (yy_k / yy_{k-1}) ** (1/8), the geometric mean of the 4 growth factors.
-    A step never takes the count past ``max_iterations``: with fewer than 4
-    multiplies left, the dense loop hands its iterate and last estimate to
-    the sparse loop, whose step is one multiply (a gather and a bincount over
-    the arcs) and which alone runs on larger graphs. Both loops apply the
-    same stopping rule, zero-norm guard and rescaling to that running state.
+    own loop of products with a dense power M = (A + shift*I)**p, built once
+    per call: M8 (p = 8) when it is exact in float32, else M4 (p = 4). A
+    step counts as p multiplies and its estimate is (yy_k / yy_{k-1}) **
+    (1 / (2p)), the geometric mean of the p growth factors. A step never
+    takes the count past ``max_iterations``: M8 steps run while at least 8
+    multiplies are left and M4 steps while at least 4 are left; then the
+    dense loop hands its iterate and last estimate to the sparse loop, whose
+    step is one multiply (a gather and a bincount over the arcs) and which
+    alone runs on larger graphs. Both loops apply the same stopping rule,
+    zero-norm guard and rescaling to that running state.
     """
     n = len(x)
     budget = config.max_iterations
@@ -148,16 +166,21 @@ def _iterate(
     residual = math.inf
     iterations = 0
     if n <= _DENSE_MAX_NODES and budget >= 4:
-        m_dot = _dense_fourth_power(src, dst, n, shift).dot
+        m4, m8 = _dense_powers(src, dst, n, shift)
+        power, m = (4, m4) if m8 is None else (8, m8)
+        m_dot = m.astype(np.float64).dot
         while budget - iterations >= 4:
+            if budget - iterations < power:
+                # 4 to 7 multiplies left for an M8 solve: one last M4 step
+                power, m_dot = 4, m4.astype(np.float64).dot
             y = m_dot(x)
-            iterations += 4
+            iterations += power
             yy = y.dot(y)
             if yy == 0.0:
                 # A annihilated the iterate: only possible with no edges at
                 # all, where the radius is exactly zero.
                 return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
-            norm = (yy / xx) ** 0.125
+            norm = (yy / xx) ** (0.5 / power)
             if prev_norm >= 0.0:
                 residual = abs(norm - prev_norm)
                 if residual <= tolerance:

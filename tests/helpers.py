@@ -124,25 +124,33 @@ def reference_iterate(
     max_iterations: int,
     shift: float,
 ) -> tuple[float, np.ndarray, int, bool, float]:
-    """``spectral._iterate`` as it was with one loop for both kernels: each
-    step tests whether to take a dense (A + shift*I)**4 product (at most 128
-    nodes, at least 4 multiplies of budget left) or one sparse multiply."""
+    """``spectral._iterate`` as one loop for all its kernels: each step
+    multiplies by M8 = (A + shift*I)**8 (at most 128 nodes, every entry of
+    M8 below 2**24, at least 8 multiplies of budget left), by M4 = (A +
+    shift*I)**4 (at most 128 nodes, at least 4 left) or once by the sparse
+    arcs. The dense powers are integer matrix powers, taken in int64."""
     n = len(x)
-    dense = None
+    m4 = m8 = None
     if n <= 128 and max_iterations >= 4:
-        m = np.zeros((n, n), dtype=np.float32)
-        m[dst, src] = 1.0
-        if shift:
-            m.flat[:: n + 1] = shift
-        m = m @ m
-        dense = (m @ m).astype(np.float64)
+        a = np.zeros((n, n), dtype=np.int64)
+        a[dst, src] = 1
+        a[np.diag_indices(n)] = int(shift)
+        a4 = np.linalg.matrix_power(a, 4)
+        a8 = a4 @ a4
+        m4 = a4.astype(np.float64)
+        if a8.max() < 2**24:
+            m8 = a8.astype(np.float64)
     xx = x.dot(x)
     prev_norm = -1.0
     residual = math.inf
     iterations = 0
     while iterations < max_iterations:
-        if dense is not None and max_iterations - iterations >= 4:
-            y = dense @ x
+        left = max_iterations - iterations
+        if m8 is not None and left >= 8:
+            y = m8 @ x
+            step = 8
+        elif m4 is not None and left >= 4:
+            y = m4 @ x
             step = 4
         else:
             y = np.bincount(dst, x[src], n)
@@ -153,7 +161,7 @@ def reference_iterate(
         yy = y.dot(y)
         if yy == 0.0:
             return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
-        norm = math.sqrt(yy / xx) if step == 1 else (yy / xx) ** 0.125
+        norm = math.sqrt(yy / xx) if step == 1 else (yy / xx) ** (0.5 / step)
         if prev_norm >= 0.0:
             residual = abs(norm - prev_norm)
             if residual <= tolerance:

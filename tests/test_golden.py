@@ -13,28 +13,32 @@ import pytest
 
 from netspectra.cli import main
 
-# Every command but the last stays at or below the solver's dense cutoff of
-# 128 nodes; the last grows past it, so both kernels are gated.
+# Which solver kernel each command gates: every solve of the first four
+# commands is on at most 128 nodes, where steps multiply by the dense M8 =
+# A**8 whenever it is exact in float32 (all solves of the m = 2 BA and the
+# WS commands). The m = 5 condition of the BA sweep is the one that falls
+# back to M4 = A**4 (105 of its 343 solves), and the last command grows past
+# 128 nodes onto the sparse kernel (64 of its 316 solves).
 GOLDEN = {
     "ba --total 60 --links 2 --runs 3 --seed 11": {
-        "ba_summary.json": "b7a0675a24c6431655e34bbbba07740db74656ec4fa99ab8d3b275dd9f982898",
-        "ba_timeseries.csv": "e0f6987cd86b2f7b2ccab07d02fc2869f26b44f037a83865c8554561ff83263e",
+        "ba_summary.json": "b290a9e1d2dad1fd2b87718ec143830af6e9953c5b5ba30b18c67a302ae28967",
+        "ba_timeseries.csv": "4e54cb054b59cdfdd132e1199c8e991d57504cec5b9ce42510c3d68396585d48",
     },
     "ws --ring 20 --beta 0.5 --runs 3 --seed 12": {
-        "ws_summary.json": "be2f711c965dcad9499a32351c220d4519143c3cb1d1f2e6cc6871a61f1160cf",
-        "ws_timeseries.csv": "d587714be432f777da5e7dc1fc26cd7600425523e717a86879c4a7bf38d08ad4",
+        "ws_summary.json": "6237c60c6d94601692d6dd5ee43dbf3e812a3d1534d9969562ae7fb70e16ce8b",
+        "ws_timeseries.csv": "5f534f4b1ad586ff03f58c7d4f2ab6c86cd63ebb5086b763dce8888bee37e5b0",
     },
     "sweep --model ba --values 2,5 --initial 3 --total 60 --runs 3 --seed 13": {
-        "sweep_ba.csv": "eb0ef3e660a7e559c839f21ae03c0620f5b1ad4fbf3ab6ca497696fa381c5c2c",
-        "sweep_ba_summary.json": "faf64e5fcd65d784e25176b28291cc31ae5cea82698f2cd63db5291aea1859c4",
+        "sweep_ba.csv": "be27b4551bcf872650a088d6da36f1201ea90222043bb95848fc55a9c988759a",
+        "sweep_ba_summary.json": "dc47b5ee4b71bb260924dc63c8270588643bb1bf9fa8de3f7c5a2f343e7608a9",
     },
     "sweep --model ws --values 0,0.5,1.0 --ring 20 --runs 3 --seed 14": {
-        "sweep_ws.csv": "0fcd80174c5b1eca52b93d1deb19663677c2d84c2a5ea4eb2cc3c1d7b2f2f6ef",
-        "sweep_ws_summary.json": "f56063edd8cf20876a8c5e29dcd82218b2381199100ba4cd9a2a58f236a5f9cc",
+        "sweep_ws.csv": "aa50f2c6e0d725132c3c56cf588bc4902f38c459fb3dcb9236f72b1fac10ab6e",
+        "sweep_ws_summary.json": "476d0b05aec73817afff0844755af0c903c4ef4491d02adba6f375e2ff202e0b",
     },
     "ba --initial 3 --total 160 --links 2 --runs 2 --seed 21": {
-        "ba_summary.json": "c60d3c8bd0f935e291281c4b49e2b34a5d05b3bdfcd75e16d687c4e090881541",
-        "ba_timeseries.csv": "521edd960ef8949cc10c6d68b44131a7b1bb638174e3cd4d7267e602a05b8ec8",
+        "ba_summary.json": "85ff3d1f747d45493f85f71eef9a627b116c1b0c0d5aa5606ac1fb164c5533d2",
+        "ba_timeseries.csv": "061a7905af9eb24b509a1a23686c4921d1b0916487e53848843e2f8d8b7e1979",
     },
 }
 

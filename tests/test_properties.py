@@ -1,4 +1,5 @@
-"""Property tests: edge-list round trips and the CLI's exit-code contract."""
+"""Property tests: edge-list round trips, the CLI's exit-code contract and
+the solver's radius on graphs small enough for its dense steps."""
 
 import contextlib
 import io
@@ -7,14 +8,24 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from netspectra import Graph, parse_edge_list, write_edge_list  # noqa: E402
+from netspectra import (  # noqa: E402
+    Graph,
+    NotConvergedError,
+    PowerIterationConfig,
+    parse_edge_list,
+    power_iteration,
+    write_edge_list,
+)
 from netspectra.cli import main  # noqa: E402
+
+from helpers import adjacency_matrix, erdos_renyi  # noqa: E402
 
 
 @st.composite
@@ -48,6 +59,35 @@ def test_edge_order_comments_and_blank_lines_do_not_matter(g, random, extra):
     lines = body + extra
     random.shuffle(lines)
     assert parse_edge_list("\n".join([header, *lines])) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 128),
+    st.floats(0.0, 1.0) | st.just(1.0),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+)
+@example(n=12, p=1.0, seed=0, budget=40)  # K12: M8 is not exact, M4 steps
+@example(n=10, p=1.0, seed=0, budget=40)  # K10: M8 steps
+@example(n=128, p=0.9, seed=1, budget=11)  # M4 steps, then a sparse tail
+def test_radius_on_dense_kernel_graphs(n, p, seed, budget):
+    # Up to 128 nodes every solve starts on the dense kernel; dense graphs
+    # have walk counts past 2**24 and so step with M4 instead of M8.
+    g = erdos_renyi(n, p, np.random.default_rng(seed))
+    try:
+        result = power_iteration(g, PowerIterationConfig(max_iterations=budget))
+    except NotConvergedError as exc:
+        assert exc.result.iterations == budget
+        return
+    assert result.iterations <= budget
+    radius = result.spectral_radius
+    expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+    assert radius == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    # Hofmeister's bracket: sqrt(<k**2>) <= radius <= k_max
+    degrees = g.degree_array().astype(float)
+    assert math.sqrt(np.mean(degrees**2)) <= radius + 1e-12
+    assert radius <= degrees.max() + 1e-12
 
 
 def run_main(argv):

@@ -19,7 +19,7 @@ from netspectra import (
     ws_initialize,
     ws_rewire,
 )
-from netspectra.spectral import _DENSE_MAX_NODES, _dense_fourth_power, _iterate, _start_vector
+from netspectra.spectral import _DENSE_MAX_NODES, _dense_powers, _iterate, _start_vector
 
 from helpers import (
     adjacency_matrix,
@@ -291,8 +291,8 @@ PINNED_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
 def test_kernel_matches_normalized_reference_loop(name):
     # Above the dense cutoff each step is one sparse multiply, which must
-    # reproduce the normalized loop; at or below it, steps multiply by A**4,
-    # so the radius is checked against the dense eigensolver instead.
+    # reproduce the normalized loop; at or below it, steps multiply by A**8
+    # or A**4, so the radius is checked against the dense eigensolver.
     g = PINNED_GRAPHS[name]()
     result = power_iteration(g)
     assert result.converged and not result.shifted
@@ -331,7 +331,8 @@ def assert_radius_survives_rescaling(g):
 
 
 def test_rescaled_iterate_keeps_radius():
-    # 59 nodes: dense A**4 steps; radius ~29.002, second eigenvalue 28
+    # 59 nodes: dense A**4 steps (A**8 passes 2**24); radius ~29.002,
+    # second eigenvalue 28
     assert_radius_survives_rescaling(joined_cliques(30, 29))
 
 
@@ -355,13 +356,14 @@ def test_radius_on_either_side_of_dense_cutoff(n):
     assert math.sqrt(np.mean(degrees.astype(float) ** 2)) <= radius + 1e-12
     assert radius <= degrees.max() + 1e-12
     if n <= _DENSE_MAX_NODES:
-        assert result.iterations % 4 == 0  # dense steps only
+        assert result.iterations % dense_step(g, 0.0) == 0  # dense steps only
 
 
-@pytest.mark.parametrize("max_iterations", range(1, 10))
+@pytest.mark.parametrize("max_iterations", range(1, 18))
 def test_dense_steps_never_overshoot_budget(max_iterations):
-    # Both the plain and the shifted solve need more than 9 multiplies here,
-    # so every budget fails, with a remainder under 4 spent on sparse steps.
+    # Both the plain and the shifted solve need more than 17 multiplies
+    # here, so every budget fails, spent on M8 steps, at most one M4 step
+    # and a remainder under 4 of sparse steps.
     config = PowerIterationConfig(max_iterations=max_iterations)
     with pytest.raises(NotConvergedError) as exc:
         power_iteration(nearly_bipartite_graph(), config)
@@ -370,16 +372,70 @@ def test_dense_steps_never_overshoot_budget(max_iterations):
     assert np.linalg.norm(partial.principal_eigenvector) == pytest.approx(1.0, abs=1e-12)
 
 
+def dense_step(g, shift):
+    """Multiplies per dense step of a solve on ``g`` with a budget of at
+    least 8: 8 when (A + shift*I)**8 is exact in float32, else 4."""
+    src, dst = g.arcs()
+    return 4 if _dense_powers(src, dst, g.node_count, shift)[1] is None else 8
+
+
+def integer_power(g, shift, p):
+    a = adjacency_matrix(g).astype(np.int64) + int(shift) * np.eye(g.node_count, dtype=np.int64)
+    return np.linalg.matrix_power(a, p)
+
+
 @pytest.mark.parametrize("shift", [0.0, 1.0])
 def test_dense_fourth_power_is_exact_at_the_cutoff(shift):
     # The complete graph has the largest walk counts: (A + I)**4 = n**3 J.
+    # Its eighth power reaches 2**24, so only the fourth is kept.
     n = _DENSE_MAX_NODES
     g = complete_graph(n)
-    a = adjacency_matrix(g).astype(np.int64) + int(shift) * np.eye(n, dtype=np.int64)
     src, dst = g.arcs()
-    m = _dense_fourth_power(src, dst, n, shift)
-    assert m.dtype == np.float64
-    assert np.array_equal(m, np.linalg.matrix_power(a, 4))
+    m4, m8 = _dense_powers(src, dst, n, shift)
+    assert m4.dtype == np.float32
+    assert np.array_equal(m4, integer_power(g, shift, 4))
+    assert m8 is None
+
+
+# Complete graphs on either side of the float32 limit for M8: K10 has A**8
+# entries up to (9**8 + 9) / 10 = 4,304,673 and (A + I)**8 = 10**7 J, below
+# 2**24 = 16,777,216; K12 has A**8 entries (11**8 - 1) / 12 = 17,863,240
+# off the diagonal (one more on it) and (A + I)**8 = 12**7 J, both past it.
+EIGHTH_POWER_MAX = {
+    (10, 0.0): 4_304_673,
+    (10, 1.0): 10**7,
+    (12, 0.0): 17_863_241,
+    (12, 1.0): 12**7,
+}
+
+
+@pytest.mark.parametrize("n, shift", sorted(EIGHTH_POWER_MAX))
+def test_dense_eighth_power_only_when_exact(n, shift):
+    g = complete_graph(n)
+    src, dst = g.arcs()
+    m4, m8 = _dense_powers(src, dst, n, shift)
+    expected = integer_power(g, shift, 8)
+    assert expected.max() == EIGHTH_POWER_MAX[n, shift]
+    assert np.array_equal(m4, integer_power(g, shift, 4))
+    if expected.max() < 2**24:
+        assert np.array_equal(m8, expected)
+        power = 8
+    else:
+        assert m8 is None
+        power = 4
+    # From a non-constant start a budget of 8 is one M8 step, which has no
+    # earlier estimate to converge against, or two M4 steps, which do.
+    x = np.random.default_rng(34).random(n) + 0.5
+    _, _, iterations, _, residual = _iterate(
+        src, dst, x, PowerIterationConfig(max_iterations=8), shift
+    )
+    assert iterations == 8 and (residual == math.inf) == (power == 8)
+    radius, _, iterations, converged, _ = _iterate(
+        src, dst, x, PowerIterationConfig(), shift
+    )
+    assert converged and iterations % power == 0
+    expected_radius = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+    assert radius - shift == pytest.approx(expected_radius, rel=1e-9)
 
 
 def test_shifted_dense_path_converges():
@@ -389,7 +445,7 @@ def test_shifted_dense_path_converges():
         src, dst, np.ones(g.node_count), PowerIterationConfig(), shift=1.0
     )
     assert converged
-    assert iterations % 4 == 0
+    assert iterations % dense_step(g, 1.0) == 0
     expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
     assert radius - 1.0 == pytest.approx(expected, rel=1e-9)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
@@ -422,8 +478,9 @@ def test_new_nodes_start_from_the_eigen_equation():
 
 # (graph, start, max_iterations, shift) cases for the bit-identity guard:
 # dense and sparse graphs, warm (non-constant) starts, budgets that hand a
-# dense solve over to sparse steps, the shifted retry, rescaling on both
-# kernels and an edgeless graph's zero-norm guard.
+# dense solve from M8 to M4 to sparse steps, the shifted retry, rescaling on
+# both kernels (M4 steps on rescaled-dense, whose M8 is not exact) and an
+# edgeless graph's zero-norm guard.
 def _iterate_cases():
     rng = np.random.default_rng(31)
     ws = ws_evolve(WSConfig(50, 0.5), np.random.default_rng(32))
@@ -441,7 +498,7 @@ def _iterate_cases():
         "rescaled-sparse": (joined_cliques(65, 64), np.ones(129), 100_000, 0.0),
         "edgeless": (Graph(6), np.ones(6), 100_000, 0.0),
     }
-    for budget in range(4, 10):
+    for budget in range(4, 18):
         cases[f"handover-{budget}"] = (ws, np.ones(100), budget, 0.0)
         cases[f"handover-shifted-{budget}"] = (bip, np.ones(10), budget, 1.0)
     return cases
