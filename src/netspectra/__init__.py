@@ -6,30 +6,8 @@ grows by preferential attachment or is rewired from a regular lattice.
 """
 
 from .ba import BAConfig, ba_evolve, ba_initialize, select_targets
-from .errors import (
-    ConstantSeriesError,
-    DuplicateEdgeError,
-    EdgeListParseError,
-    EmptyGraphError,
-    LengthMismatchError,
-    MissingEdgeError,
-    NetspectraError,
-    NodeOutOfRangeError,
-    NotConvergedError,
-    SelfLoopError,
-    StepMismatchError,
-    TooFewNodesError,
-    ZeroDegreeSumError,
-    ZeroMeanDegreeError,
-)
-from .experiment import (
-    RNG_NAME,
-    SweepRow,
-    derive_seed,
-    run_ba_condition,
-    run_sweep,
-    run_ws_condition,
-)
+from .errors import EdgeListParseError, GraphError, NetspectraError, NotConvergedError
+from .experiment import SweepRow, derive_seed, run_ba_condition, run_sweep, run_ws_condition
 from .graph import DegreeStats, Graph, degree_stats, parse_edge_list, write_edge_list
 from .metrics import (
     AveragedSummary,
@@ -54,30 +32,19 @@ __version__ = "0.1.0"
 __all__ = [
     "AveragedSummary",
     "BAConfig",
-    "ConstantSeriesError",
     "DegreeStats",
-    "DuplicateEdgeError",
     "EdgeListParseError",
-    "EmptyGraphError",
     "EvolutionRecord",
     "Graph",
-    "LengthMismatchError",
-    "MissingEdgeError",
+    "GraphError",
     "NetspectraError",
-    "NodeOutOfRangeError",
     "NotConvergedError",
     "PowerIterationConfig",
-    "RNG_NAME",
     "RewireEvent",
-    "SelfLoopError",
     "Series",
     "SpectralResult",
-    "StepMismatchError",
     "SweepRow",
-    "TooFewNodesError",
     "WSConfig",
-    "ZeroDegreeSumError",
-    "ZeroMeanDegreeError",
     "average_runs",
     "ba_evolve",
     "ba_initialize",

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TooFewNodesError, ZeroDegreeSumError
+from .errors import GraphError
 from .graph import Graph
 
 Observer = Callable[[int, Graph], None]
@@ -34,7 +34,7 @@ class BAConfig:
 
     def __post_init__(self) -> None:
         if self.initial_nodes < 2:
-            raise TooFewNodesError(
+            raise ValueError(
                 f"initial_nodes must be >= 2 for the seed wiring, got {self.initial_nodes}"
             )
         if self.total_nodes < self.initial_nodes:
@@ -54,9 +54,7 @@ def ba_initialize(initial_nodes: int, rng: np.random.Generator) -> Graph:
     ceil(initial_nodes / 2) and initial_nodes.
     """
     if initial_nodes < 2:
-        raise TooFewNodesError(
-            f"seed wiring needs at least 2 nodes, got {initial_nodes}"
-        )
+        raise ValueError(f"seed wiring needs at least 2 nodes, got {initial_nodes}")
     g = Graph(initial_nodes)
     for i in range(initial_nodes):
         j = int(rng.integers(initial_nodes - 1))
@@ -80,19 +78,18 @@ def select_targets(g: Graph, links: int, rng: np.random.Generator) -> set[int]:
     # Running degree totals; a drawn node's degree is taken out of every
     # total from its own on. The totals are integers below 2**53, exact in a
     # float, and an integer total exceeds r exactly when it exceeds int(r),
-    # so the search needs no float copy of them.
+    # so the search needs no float copy of them. rng.random() is at most
+    # 1 - 2**-53, so r rounds to below the total T for any T < 2**53; then
+    # int(r) < cumulative[-1] and the search lands on a node, never past
+    # the last one.
     cumulative = g.degree_array().cumsum()
     chosen: set[int] = set()
     for _ in range(links):
         total = int(cumulative[-1])
         if total <= 0:
-            raise ZeroDegreeSumError(
-                "roulette selection ran out of positive-degree candidates"
-            )
+            raise GraphError("roulette selection ran out of positive-degree candidates")
         r = rng.random() * total
         idx = int(cumulative.searchsorted(int(r), side="right"))
-        if idx >= count:
-            idx = count - 1
         chosen.add(idx)
         # without replacement
         cumulative[idx:] -= cumulative[idx] - (cumulative[idx - 1] if idx else 0)

@@ -24,12 +24,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .ba import BAConfig
-from .errors import (
-    DuplicateEdgeError,
-    EdgeListParseError,
-    NotConvergedError,
-    SelfLoopError,
-)
+from .errors import EdgeListParseError, NotConvergedError
 from .experiment import RNG_NAME, SweepRow, run_ba_condition, run_sweep, run_ws_condition
 from .graph import degree_stats, parse_edge_list
 from .metrics import EvolutionRecord
@@ -182,7 +177,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise _InputError(f"cannot read {args.path}: {exc}") from exc
     try:
         g = parse_edge_list(text)
-    except (EdgeListParseError, SelfLoopError, DuplicateEdgeError) as exc:
+    except EdgeListParseError as exc:
         raise _InputError(f"{args.path}: {exc}") from exc
     if g.node_count == 0:
         raise _InputError(f"{args.path}: graph has no nodes")

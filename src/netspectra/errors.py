@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per way a caller handles
+a failure. Bad arguments raise plain ``ValueError``."""
 
 from __future__ import annotations
 
@@ -7,40 +8,11 @@ class NetspectraError(Exception):
     """Base class for every error raised by this package."""
 
 
-class SelfLoopError(NetspectraError):
-    """An edge would connect a node to itself."""
-
-
-class DuplicateEdgeError(NetspectraError):
-    """The edge is already present."""
-
-
-class MissingEdgeError(NetspectraError):
-    """The edge to remove does not exist."""
-
-
-class NodeOutOfRangeError(NetspectraError):
-    """A node ID is outside the graph's current node range."""
-
-
-class EmptyGraphError(NetspectraError):
-    """The operation needs a graph with at least one node."""
-
-
-class ZeroMeanDegreeError(NetspectraError):
-    """The graph has no edges, so degree-normalized quantities are undefined."""
-
-
-class TooFewNodesError(NetspectraError, ValueError):
-    """The generator needs a larger node count.
-
-    Also a ValueError: a node count is a parameter value, so callers that
-    validate parameters catch it with the rest.
-    """
-
-
-class ZeroDegreeSumError(NetspectraError):
-    """Every candidate has degree zero, so the attachment distribution is undefined."""
+class GraphError(NetspectraError, ValueError):
+    """A graph operation or quantity that the graph as it stands does not
+    allow: a self-loop, a duplicate or missing edge, a node out of range, or
+    a statistic undefined on a graph without nodes or edges. The message
+    says which."""
 
 
 class EdgeListParseError(NetspectraError):
@@ -62,15 +34,3 @@ class NotConvergedError(NetspectraError):
     def __init__(self, message: str, result=None) -> None:
         super().__init__(message)
         self.result = result
-
-
-class LengthMismatchError(NetspectraError):
-    """Paired series must have equal length of at least two."""
-
-
-class ConstantSeriesError(NetspectraError):
-    """Correlation is undefined when a series has zero variance."""
-
-
-class StepMismatchError(NetspectraError):
-    """Run time series do not share an identical step grid."""

@@ -17,15 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    DuplicateEdgeError,
-    EdgeListParseError,
-    EmptyGraphError,
-    MissingEdgeError,
-    NodeOutOfRangeError,
-    SelfLoopError,
-    ZeroMeanDegreeError,
-)
+from .errors import EdgeListParseError, GraphError
 
 _MIN_CAPACITY = 16
 
@@ -61,10 +53,10 @@ class Graph:
     ``degree_stats`` read them without a pass over the degrees.
 
     ``warm_vector`` is the last converged power-iteration iterate on this
-    graph while it was connected, or None, and ``warm_radius`` the spectral
-    radius of the solve that stored it. ``power_iteration`` starts the next
-    solve from the vector, padding nodes added since with the help of the
-    radius; a ``copy`` starts without either.
+    graph while it was connected, or None (a new graph has none), and
+    ``warm_radius`` the spectral radius of the solve that stored it.
+    ``power_iteration`` starts the next solve from the vector, padding nodes
+    added since with the help of the radius.
     """
 
     __slots__ = (
@@ -118,21 +110,20 @@ class Graph:
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < len(self._adj):
-            raise NodeOutOfRangeError(
-                f"node {u} out of range for graph with {len(self._adj)} nodes"
-            )
+            raise GraphError(f"node {u} out of range for graph with {len(self._adj)} nodes")
 
     def add_edge(self, u: int, v: int) -> None:
         """Insert edge (u, v).
 
-        Raises SelfLoopError, DuplicateEdgeError, or NodeOutOfRangeError.
+        Raises GraphError for a node out of range, a self-loop or an edge
+        already present.
         """
         self._check_node(u)
         self._check_node(v)
         if u == v:
-            raise SelfLoopError(f"self-loop {u}-{v}")
+            raise GraphError(f"self-loop {u}-{v}")
         if v in self._adj[u]:
-            raise DuplicateEdgeError(f"edge {u}-{v} already present")
+            raise GraphError(f"duplicate edge {u}-{v}")
         nu = self._adj[u]
         nv = self._adj[v]
         nu.add(v)
@@ -155,11 +146,12 @@ class Graph:
             self._components -= 1
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete edge (u, v). Raises MissingEdgeError if it is not present."""
+        """Delete edge (u, v). Raises GraphError for a node out of range or
+        an edge not present."""
         self._check_node(u)
         self._check_node(v)
         if v not in self._adj[u]:
-            raise MissingEdgeError(f"edge {u}-{v} not present")
+            raise GraphError(f"edge {u}-{v} not present")
         nu = self._adj[u]
         nv = self._adj[v]
         nu.discard(v)
@@ -256,20 +248,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def copy(self) -> "Graph":
-        g = Graph()
-        g._adj = [set(nbrs) for nbrs in self._adj]
-        g._edge_count = self._edge_count
-        g._src = self._src.copy()
-        g._dst = self._dst.copy()
-        g._slot = dict(self._slot)
-        g._deg = self._deg.copy()
-        g._parent = list(self._parent)
-        g._components = self._components
-        g._isolated = self._isolated
-        g._square_sum = self._square_sum
-        return g
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -296,7 +274,7 @@ class DegreeStats:
     def cv(self) -> float:
         """Coefficient of variation, k_sd / k_avg. Undefined at zero mean degree."""
         if self.k_avg == 0:
-            raise ZeroMeanDegreeError("cv undefined: graph has no edges")
+            raise GraphError("cv undefined: graph has no edges")
         return self.k_sd / self.k_avg
 
 
@@ -311,7 +289,7 @@ def degree_stats(g: Graph) -> DegreeStats:
     """
     n = g.node_count
     if n == 0:
-        raise EmptyGraphError("degree statistics need at least one node")
+        raise GraphError("degree statistics need at least one node")
     degs = g.degree_array()
     s1 = 2 * g.edge_count
     s2 = g._square_sum
@@ -331,8 +309,8 @@ def parse_edge_list(text: str) -> Graph:
     beginning with ``#`` are comments; a ``# nodes: <n>`` header fixes the node
     count, otherwise it is inferred as 1 + the largest ID seen.
 
-    Raises EdgeListParseError (with line number) on malformed input, and
-    SelfLoopError/DuplicateEdgeError tagged with the offending line.
+    Raises EdgeListParseError on malformed input, a self-loop or a duplicate
+    edge, with the offending line number in ``.line`` when there is one.
     """
     declared: int | None = None
     edges: list[tuple[int, int, int]] = []
@@ -376,10 +354,8 @@ def parse_edge_list(text: str) -> Graph:
     for u, v, line_no in edges:
         try:
             g.add_edge(u, v)
-        except SelfLoopError:
-            raise SelfLoopError(f"line {line_no}: self-loop {u}-{v}") from None
-        except DuplicateEdgeError:
-            raise DuplicateEdgeError(f"line {line_no}: duplicate edge {u}-{v}") from None
+        except GraphError as exc:
+            raise EdgeListParseError(str(exc), line_no) from None
     return g
 
 

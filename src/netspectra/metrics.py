@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import ConstantSeriesError, LengthMismatchError, StepMismatchError
 from .graph import Graph, degree_stats
 from .spectral import PowerIterationConfig, spectral_radius_ratio
 
@@ -45,7 +44,7 @@ class Series:
 
     def append(self, record: EvolutionRecord) -> None:
         if self.step and record.step <= self.step[-1]:
-            raise StepMismatchError(f"step {record.step} does not follow {self.step[-1]}")
+            raise ValueError(f"step {record.step} does not follow {self.step[-1]}")
         self.step.append(record.step)
         self.node_count.append(record.node_count)
         self.edge_count.append(record.edge_count)
@@ -72,18 +71,18 @@ def snapshot(g: Graph, step: int, config: PowerIterationConfig | None = None) ->
     )
 
 
-def pearson(xs: list[float], ys: list[float]) -> float:
+def pearson(xs: list[float], ys: list[float]) -> float | None:
     """Product-moment correlation of two equal-length series.
 
-    Raises LengthMismatchError for unequal lengths or fewer than two points,
-    ConstantSeriesError when either series has zero variance. The result is
-    clamped to [-1, 1] to absorb rounding.
+    None when the correlation is undefined: fewer than two points, or a
+    series with zero variance. Raises ValueError for unequal lengths. The
+    result is clamped to [-1, 1] to absorb rounding.
     """
     if len(xs) != len(ys):
-        raise LengthMismatchError(f"series lengths differ: {len(xs)} vs {len(ys)}")
+        raise ValueError(f"series lengths differ: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 2:
-        raise LengthMismatchError(f"correlation needs at least 2 points, got {n}")
+        return None
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     dx = [x - mean_x for x in xs]
@@ -91,7 +90,7 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     sxx = math.fsum(d * d for d in dx)
     syy = math.fsum(d * d for d in dy)
     if sxx == 0.0 or syy == 0.0:
-        raise ConstantSeriesError("correlation undefined for a constant series")
+        return None
     sxy = math.fsum(a * b for a, b in zip(dx, dy))
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
@@ -103,13 +102,7 @@ def run_correlations(series: list[Series]) -> list[float | None]:
     None marks runs where the correlation is undefined (a constant series, or
     fewer than two records).
     """
-    out: list[float | None] = []
-    for run in series:
-        try:
-            out.append(pearson(run.lambda_ratio, run.cv))
-        except (ConstantSeriesError, LengthMismatchError):
-            out.append(None)
-    return out
+    return [pearson(run.lambda_ratio, run.cv) for run in series]
 
 
 @dataclass(frozen=True)
@@ -140,14 +133,14 @@ def _mean_correlation(series: list[Series]) -> float | None:
 def average_runs(series: list[Series]) -> AveragedSummary:
     """Combine runs that share a common step grid into per-step means.
 
-    Raises StepMismatchError if any run's steps differ from the first run's.
+    Raises ValueError if any run's steps differ from the first run's.
     """
     if not series:
         raise ValueError("average_runs needs at least one run")
     grid = series[0].step
     for i, run in enumerate(series[1:], start=1):
         if run.step != grid:
-            raise StepMismatchError(f"run {i} steps differ from run 0")
+            raise ValueError(f"run {i} steps differ from run 0")
     n_runs = len(series)
 
     def mean(column: str) -> list[float]:

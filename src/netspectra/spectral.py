@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGraphError, NotConvergedError, ZeroMeanDegreeError
+from .errors import GraphError, NotConvergedError
 from .graph import DegreeStats, Graph, degree_stats
 
 DEFAULT_TOLERANCE = 1e-10
@@ -119,6 +119,12 @@ def _dense_powers(
     a squaring exact. M4's entries are at most n**3 <= 2**24 for n <= 256,
     so M4 is always exact; M8 is returned only when its largest entry is
     below 2**24, and then equals the integer matrix power.
+
+    M4 is the square of the symmetric (A + shift*I)**2, so M8's diagonal
+    entry i is the sum of squares of M4's row i, at least M4[i, i]**2. A
+    diagonal entry of M4 of 2**12 or more (a hub of degree 64 or more has
+    one) therefore rules M8 out without the squaring. Lighter hubs can still
+    push M8 past 2**24; then the squaring decides.
     """
     m = np.zeros((n, n), dtype=np.float32)
     m[dst, src] = 1.0
@@ -126,6 +132,8 @@ def _dense_powers(
         m.flat[:: n + 1] = shift
     m = m.dot(m)
     m4 = m.dot(m)
+    if m4.diagonal().max() >= 2**12:
+        return m4, None
     m8 = m4.dot(m4)
     return m4, (m8 if m8.max() < 2**24 else None)
 
@@ -255,7 +263,7 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
         config = PowerIterationConfig()
     n = g.node_count
     if n == 0:
-        raise EmptyGraphError("power iteration needs at least one node")
+        raise GraphError("power iteration needs at least one node")
     if g.edge_count == 0:
         return SpectralResult(
             spectral_radius=0.0,
@@ -303,7 +311,7 @@ def spectral_radius_ratio(
     if stats is None:
         stats = degree_stats(g)
     if stats.k_avg == 0:
-        raise ZeroMeanDegreeError("spectral radius ratio undefined: graph has no edges")
+        raise GraphError("spectral radius ratio undefined: graph has no edges")
     if stats.k_min == stats.k_max:
         return 1.0
     result = power_iteration(g, config)

@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TooFewNodesError
 from .graph import Graph
 
 
@@ -31,9 +30,7 @@ class WSConfig:
 
     def __post_init__(self) -> None:
         if self.nodes_per_ring < 3:
-            raise TooFewNodesError(
-                f"nodes_per_ring must be >= 3, got {self.nodes_per_ring}"
-            )
+            raise ValueError(f"nodes_per_ring must be >= 3, got {self.nodes_per_ring}")
         if not 0.0 <= self.rewiring_probability <= 1.0:
             raise ValueError(
                 f"rewiring_probability must be in [0, 1], got {self.rewiring_probability}"

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from netspectra import Graph, ZeroDegreeSumError
+from netspectra import Graph, GraphError
 
 
 def cycle_graph(n: int) -> Graph:
@@ -38,6 +38,17 @@ def star_graph(n: int) -> Graph:
     for v in range(1, n):
         g.add_edge(0, v)
     return g
+
+
+def fresh_copy(g: Graph) -> Graph:
+    """A new graph with the edges of ``g`` added in its arc order, so its
+    arc arrays equal those of ``g`` and a solve on it starts cold, without
+    ``g``'s warm vector."""
+    h = Graph(g.node_count)
+    src, dst = g.arcs()
+    for u, v in zip(src[::2].tolist(), dst[::2].tolist()):
+        h.add_edge(u, v)
+    return h
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -185,7 +196,7 @@ def reference_select_targets(degrees: np.ndarray, links: int, rng: np.random.Gen
     for _ in range(links):
         total = weights.sum()
         if total <= 0:
-            raise ZeroDegreeSumError("roulette selection ran out of positive-degree candidates")
+            raise GraphError("roulette selection ran out of positive-degree candidates")
         r = rng.random() * total
         cumulative = np.cumsum(weights)
         idx = int(np.searchsorted(cumulative, r, side="right"))

@@ -3,8 +3,7 @@ import pytest
 
 from netspectra import (
     BAConfig,
-    TooFewNodesError,
-    ZeroDegreeSumError,
+    GraphError,
     ba_evolve,
     ba_initialize,
     select_targets,
@@ -56,7 +55,7 @@ def test_seed_wiring_all_outcomes():
 
 
 def test_seed_wiring_rejects_single_node():
-    with pytest.raises(TooFewNodesError):
+    with pytest.raises(ValueError, match="seed wiring needs at least 2 nodes"):
         ba_initialize(1, np.random.default_rng(0))
 
 
@@ -83,7 +82,7 @@ def test_select_targets_without_replacement():
 
 
 def test_select_targets_needs_positive_degree():
-    with pytest.raises(ZeroDegreeSumError):
+    with pytest.raises(GraphError, match="ran out of positive-degree candidates"):
         select_targets(Graph(5), 1, np.random.default_rng(0))
 
 
@@ -208,7 +207,7 @@ def _select_both(degrees, links, seed):
         rng = np.random.default_rng(seed)
         try:
             got = select(rng)
-        except ZeroDegreeSumError as exc:
+        except GraphError as exc:
             got = type(exc)
         outcomes.append((got, rng.bit_generator.state))
     return outcomes
@@ -236,4 +235,28 @@ def test_select_targets_single_positive_node_runs_out_on_second_draw():
     new, old = _select_both(degrees, 1, seed=5)
     assert new == old and new[0] == {2}
     new, old = _select_both(degrees, 2, seed=5)
-    assert new == old and new[0] is ZeroDegreeSumError
+    assert new == old and new[0] is GraphError
+
+
+class _TopDraw:
+    """Stands in for a Generator whose random() always returns its largest
+    value, 1 - 2**-53."""
+
+    def random(self):
+        return 1 - 2**-53
+
+
+@pytest.mark.parametrize(
+    "degrees, links, expected",
+    [
+        ([3, 1, 2, 0, 0], 1, {2}),
+        ([1, 1, 1, 0], 2, {1, 2}),
+        ([0, 5], 1, {1}),
+        ([2**52 + 1, 0, 1, 0], 1, {2}),
+        ([2**53 - 2, 1, 0], 1, {1}),  # total 2**53 - 1
+    ],
+)
+def test_select_targets_top_draw_lands_on_last_positive_node(degrees, links, expected):
+    # r = random() * total stays below the total, so the search never runs
+    # past the last node and no clamp is needed
+    assert select_targets(_DegreeSequence(degrees), links, _TopDraw()) == expected

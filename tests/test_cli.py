@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from netspectra import Graph, write_edge_list
+from netspectra import Graph, GraphError, write_edge_list
+from netspectra import cli
 from netspectra.cli import main
 
 from helpers import path_graph, star_graph
@@ -72,6 +73,20 @@ def test_analyze_self_loop_file(tmp_path, capsys):
     path = tmp_path / "loop.txt"
     path.write_text("0 0\n")
     assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("0 1\n2 2\n", "line 2: self-loop 2-2"), ("0 1\n1 0\n", "line 2: duplicate edge 1-0")],
+    ids=["self-loop", "duplicate"],
+)
+def test_analyze_rejected_edge_reports_file_and_line(tmp_path, capsys, text, message):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {message}\n"
 
 
 def test_analyze_edgeless_graph(tmp_path, capsys):
@@ -209,6 +224,17 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["sweep", "--model", "ws", "--values", "0.5", "--seed", "1"]) == 1
     assert main(["sweep", "--model", "ba", "--values", "2.5", "--initial", "3",
                  "--total", "10", "--seed", "1", "--out", str(tmp_path)]) == 1
+
+
+def test_graph_error_escaping_a_command_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise GraphError("edge 0-1 not present")
+
+    monkeypatch.setattr(cli, "run_ba_condition", refuse)
+    assert main([*BA_SMALL, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: edge 0-1 not present\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generated_seed_not_printed_for_a_failed_check(tmp_path, capsys):

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from netspectra import (
-    DuplicateEdgeError,
     EdgeListParseError,
-    EmptyGraphError,
     Graph,
-    MissingEdgeError,
-    NodeOutOfRangeError,
-    SelfLoopError,
-    ZeroMeanDegreeError,
+    GraphError,
     degree_stats,
     parse_edge_list,
-    power_iteration,
     write_edge_list,
 )
 
@@ -52,24 +46,24 @@ def test_add_edge_is_symmetric():
 
 def test_self_loop_rejected():
     g = Graph(3)
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(GraphError, match="^self-loop 1-1$"):
         g.add_edge(1, 1)
 
 
 def test_duplicate_edge_rejected_either_direction():
     g = Graph(3)
     g.add_edge(0, 1)
-    with pytest.raises(DuplicateEdgeError):
+    with pytest.raises(GraphError, match="^duplicate edge 0-1$"):
         g.add_edge(0, 1)
-    with pytest.raises(DuplicateEdgeError):
+    with pytest.raises(GraphError, match="^duplicate edge 1-0$"):
         g.add_edge(1, 0)
 
 
 def test_node_out_of_range():
     g = Graph(3)
-    with pytest.raises(NodeOutOfRangeError):
+    with pytest.raises(GraphError, match="node 3 out of range"):
         g.add_edge(0, 3)
-    with pytest.raises(NodeOutOfRangeError):
+    with pytest.raises(GraphError, match="node -1 out of range"):
         g.degree(-1)
 
 
@@ -79,7 +73,7 @@ def test_remove_edge():
     g.remove_edge(1, 0)
     assert g.edge_count == 0
     assert not g.has_edge(0, 1)
-    with pytest.raises(MissingEdgeError):
+    with pytest.raises(GraphError, match="edge 0-1 not present"):
         g.remove_edge(0, 1)
 
 
@@ -89,36 +83,6 @@ def test_edges_sorted_and_unique():
     g.add_edge(3, 0)
     g.add_edge(0, 1)
     assert list(g.edges()) == [(0, 1), (0, 3), (1, 2)]
-
-
-def test_copy_is_independent():
-    g = star_graph(6)
-    g.add_edge(1, 2)
-    cold = power_iteration(g)
-    src, dst = (a.copy() for a in g.arcs())
-    degs = g.degree_array().copy()
-    stats = degree_stats(g)
-    h = g.copy()
-    assert g == h
-    assert h.warm_vector is None
-    assert power_iteration(h).iterations == cold.iterations  # a copy starts cold
-    h.add_edge(3, 4)
-    assert g != h
-    assert g.edge_count == 6
-    assert h.edge_count == 7
-    h.remove_edge(0, 1)
-    h.add_edge(h.add_node(), 5)
-    power_iteration(h)
-    assert np.array_equal(g.arcs()[0], src)
-    assert np.array_equal(g.arcs()[1], dst)
-    assert np.array_equal(g.degree_array(), degs)
-    assert degree_stats(g) == stats
-    again = power_iteration(g.copy())
-    assert again.spectral_radius == cold.spectral_radius
-    assert np.array_equal(again.principal_eigenvector, cold.principal_eigenvector)
-    warm = power_iteration(g)  # from g's own last iterate, untouched by h
-    assert warm.iterations < cold.iterations
-    assert warm.spectral_radius == pytest.approx(cold.spectral_radius, abs=1e-10)
 
 
 def test_degree_stats_star():
@@ -150,13 +114,13 @@ def test_degree_stats_regular():
 
 
 def test_degree_stats_empty_graph():
-    with pytest.raises(EmptyGraphError):
+    with pytest.raises(GraphError, match="at least one node"):
         degree_stats(Graph(0))
 
 
 def test_cv_undefined_without_edges():
     stats = degree_stats(Graph(3))
-    with pytest.raises(ZeroMeanDegreeError):
+    with pytest.raises(GraphError, match="cv undefined"):
         stats.cv
 
 
@@ -226,15 +190,17 @@ def test_parse_header_only_gives_edgeless_graph():
 
 
 def test_parse_tags_self_loop_with_line():
-    with pytest.raises(SelfLoopError) as exc:
+    with pytest.raises(EdgeListParseError) as exc:
         parse_edge_list("0 1\n2 2\n")
-    assert "line 2" in str(exc.value)
+    assert exc.value.line == 2
+    assert str(exc.value) == "line 2: self-loop 2-2"
 
 
 def test_parse_tags_duplicate_with_line():
-    with pytest.raises(DuplicateEdgeError) as exc:
+    with pytest.raises(EdgeListParseError) as exc:
         parse_edge_list("0 1\n1 0\n")
-    assert "line 2" in str(exc.value)
+    assert exc.value.line == 2
+    assert str(exc.value) == "line 2: duplicate edge 1-0"
 
 
 def test_write_then_parse_round_trip():
@@ -305,10 +271,10 @@ def _assert_counters_match_recount(g):
 def test_incremental_arrays_track_random_mutations():
     # arcs, degree array, degree moments, isolated nodes and component count
     # against recomputation from the neighbor sets after every add, remove
-    # and node arrival, on the graph and on a copy that then takes over
+    # and node arrival
     rng = np.random.default_rng(20240611)
     g = Graph(5)
-    for step in range(1500):
+    for _ in range(1500):
         r = rng.random()
         if r < 0.03:
             g.add_node()
@@ -329,10 +295,6 @@ def test_incremental_arrays_track_random_mutations():
         assert stats.k_avg == pytest.approx(k_avg, abs=1e-12)
         assert stats.k_sd == pytest.approx(k_sd, abs=1e-12)
         _assert_counters_match_recount(g)
-        h = g.copy()
-        _assert_counters_match_recount(h)
-        if step % 100 == 99:
-            g = h
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,11 @@ import pytest
 
 from netspectra import (
     BAConfig,
-    EmptyGraphError,
     Graph,
+    GraphError,
     NotConvergedError,
     PowerIterationConfig,
     WSConfig,
-    ZeroMeanDegreeError,
     ba_evolve,
     degree_stats,
     power_iteration,
@@ -27,6 +26,7 @@ from helpers import (
     cycle_graph,
     disjoint_union,
     erdos_renyi,
+    fresh_copy,
     path_graph,
     reference_iterate,
     reference_power_iteration,
@@ -101,7 +101,7 @@ def test_edgeless_graph_has_zero_radius():
 
 
 def test_zero_node_graph_rejected():
-    with pytest.raises(EmptyGraphError):
+    with pytest.raises(GraphError, match="at least one node"):
         power_iteration(Graph(0))
 
 
@@ -191,7 +191,7 @@ def test_ratio_regular_graph_is_exactly_one():
 
 
 def test_ratio_needs_edges():
-    with pytest.raises(ZeroMeanDegreeError):
+    with pytest.raises(GraphError, match="graph has no edges"):
         spectral_radius_ratio(Graph(3))
 
 
@@ -235,7 +235,7 @@ class WarmVersusCold:
         if stats.k_min == stats.k_max:
             return
         warm = power_iteration(g)
-        cold = power_iteration(g.copy())
+        cold = power_iteration(fresh_copy(g))
         self.gaps.append(abs(warm.spectral_radius - cold.spectral_radius) / stats.k_avg)
         self.warm_iterations += warm.iterations
         self.cold_iterations += cold.iterations
@@ -438,6 +438,38 @@ def test_dense_eighth_power_only_when_exact(n, shift):
     assert radius - shift == pytest.approx(expected_radius, rel=1e-9)
 
 
+def _eighth_power_cases():
+    rng = np.random.default_rng(35)
+    cases = [erdos_renyi(n, p, rng) for n in (40, 100, 128) for p in (0.03, 0.06, 0.1, 0.2)]
+    for n, links in ((60, 2), (100, 3), (100, 5), (128, 5)):
+        cases.append(ba_evolve(BAConfig(3, n, links), rng))
+    for n in (20, 64, 128):
+        hub = star_graph(n)  # a star with a ring through its leaves
+        for v in range(1, n):
+            hub.add_edge(v, v % (n - 1) + 1)
+        cases += [star_graph(n), hub]
+    return cases
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_dense_eighth_power_decision_matches_integer_rule(shift):
+    # M8 is kept exactly when the int64 eighth power stays below 2**24,
+    # whether _dense_powers rules it out from M4's diagonal or squares first.
+    outcomes = {"kept": 0, "ruled out by the diagonal": 0, "ruled out by M8": 0}
+    for g in _eighth_power_cases():
+        src, dst = g.arcs()
+        m4, m8 = _dense_powers(src, dst, g.node_count, shift)
+        expected = integer_power(g, shift, 8)
+        if expected.max() < 2**24:
+            assert np.array_equal(m8, expected)
+            outcomes["kept"] += 1
+        else:
+            assert m8 is None
+            early = m4.diagonal().max() >= 2**12
+            outcomes["ruled out by the diagonal" if early else "ruled out by M8"] += 1
+    assert min(outcomes.values()) >= 1, outcomes
+
+
 def test_shifted_dense_path_converges():
     g = nearly_bipartite_graph()
     src, dst = g.arcs()
@@ -471,7 +503,7 @@ def test_new_nodes_start_from_the_eigen_equation():
     assert x[b] == pytest.approx(vec[4] / radius, rel=1e-15)
     expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
     assert power_iteration(g).spectral_radius == pytest.approx(expected, abs=1e-8)
-    h = g.copy()
+    h = fresh_copy(g)
     assert h.warm_vector is None and h.warm_radius == 0.0
     assert np.array_equal(_start_vector(h, connected=True), np.ones(7))
 

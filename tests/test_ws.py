@@ -3,7 +3,6 @@ import pytest
 
 from netspectra import (
     RewireEvent,
-    TooFewNodesError,
     WSConfig,
     initial_edges,
     spectral_radius_ratio,
@@ -16,7 +15,7 @@ from netspectra.ws import _nth_outside
 
 
 def test_config_validation():
-    with pytest.raises(TooFewNodesError):
+    with pytest.raises(ValueError, match="nodes_per_ring must be >= 3"):
         WSConfig(nodes_per_ring=2, rewiring_probability=0.5)
     with pytest.raises(ValueError):
         WSConfig(nodes_per_ring=10, rewiring_probability=-0.1)
@@ -53,7 +52,7 @@ def test_lattice_is_regular_so_ratio_is_one():
 def test_zero_probability_is_a_no_op():
     cfg = WSConfig(nodes_per_ring=12, rewiring_probability=0.0)
     g = ws_initialize(cfg)
-    before = g.copy()
+    before = ws_initialize(cfg)
     rng = np.random.default_rng(5)
     events = ws_rewire(g, cfg, rng)
     assert events == []
