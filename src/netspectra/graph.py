@@ -5,7 +5,9 @@ kept as one neighbor set per node, so self-loops and parallel edges cannot be
 represented. Next to the sets, the graph keeps the arrays the spectral solver
 and the degree statistics read, updated in place on every mutation: both
 directions of every edge as (source, destination) arc arrays, the degree of
-every node, the number of isolated nodes and the sum of squared degrees.
+every node and the sum of squared degrees. It also caches whether its edges
+form one component, settled by a search only when a mutation leaves it in
+doubt.
 """
 
 from __future__ import annotations
@@ -43,14 +45,16 @@ class Graph:
     one moves the last pair into the freed slots, so arc order is insertion
     order only until the first removal.
 
-    Connected components are tracked by union-find: an added edge merges two
-    components, and a removed edge splits one only if its endpoints no longer
-    reach each other. Endpoints that still share a neighbour do; otherwise a
-    search decides, and a split rebuilds the union-find.
+    Whether at most one component holds edges is cached as True, False or
+    unknown (None). Each mutation updates the flag from its endpoints' new
+    degrees: an edge between two isolated nodes starts a component, one that
+    touches an isolated node extends one, and one between two non-isolated
+    nodes may merge two. A removal that isolates an endpoint, or whose
+    endpoints still share a neighbour, splits nothing; any other may split
+    one. ``connected`` settles an unknown flag by one search.
 
-    Every mutation also updates the count of isolated nodes and the sum of
-    squared degrees by the change it makes, so ``edge_components`` and
-    ``degree_stats`` read them without a pass over the degrees.
+    Every mutation also updates the sum of squared degrees by the change it
+    makes, so ``degree_stats`` reads it without a pass over the degrees.
 
     ``warm_vector`` is the last converged power-iteration iterate on this
     graph while it was connected, or None (a new graph has none), and
@@ -66,9 +70,7 @@ class Graph:
         "_dst",
         "_slot",
         "_deg",
-        "_parent",
-        "_components",
-        "_isolated",
+        "_connected",
         "_square_sum",
         "warm_vector",
         "warm_radius",
@@ -83,9 +85,7 @@ class Graph:
         self._dst = np.zeros(_MIN_CAPACITY, dtype=np.intp)
         self._slot: dict[tuple[int, int], int] = {}  # (low, high) -> edge index
         self._deg = np.zeros(max(node_count, _MIN_CAPACITY), dtype=np.int64)
-        self._parent = list(range(node_count))
-        self._components = node_count
-        self._isolated = node_count
+        self._connected: bool | None = True  # at most one component holds edges
         self._square_sum = 0  # sum of squared degrees
         self.warm_vector: np.ndarray | None = None
         self.warm_radius = 0.0
@@ -103,9 +103,6 @@ class Graph:
         node = len(self._adj)
         self._adj.append(set())
         self._deg = _grown(self._deg, node + 1)
-        self._parent.append(node)
-        self._components += 1
-        self._isolated += 1
         return node
 
     def _check_node(self, u: int) -> None:
@@ -132,8 +129,11 @@ class Graph:
         du = len(nu)
         dv = len(nv)
         self._square_sum += 2 * (du + dv) - 2
-        self._isolated -= (du == 1) + (dv == 1)
         i = self._edge_count
+        if du == 1 and dv == 1:
+            self._connected = i == 0
+        elif du > 1 and dv > 1 and not self._connected:
+            self._connected = None
         self._src = _grown(self._src, 2 * i + 2)
         self._dst = _grown(self._dst, 2 * i + 2)
         self._src[2 * i] = self._dst[2 * i + 1] = u
@@ -142,8 +142,6 @@ class Graph:
         self._deg[u] += 1
         self._deg[v] += 1
         self._edge_count = i + 1
-        if self._union(u, v):
-            self._components -= 1
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete edge (u, v). Raises GraphError for a node out of range or
@@ -160,7 +158,6 @@ class Graph:
         du = len(nu)
         dv = len(nv)
         self._square_sum -= 2 * (du + dv) + 2
-        self._isolated += (du == 0) + (dv == 0)
         i = self._slot.pop((u, v) if u < v else (v, u))
         last = self._edge_count - 1
         if i != last:
@@ -172,42 +169,10 @@ class Graph:
         self._deg[u] -= 1
         self._deg[v] -= 1
         self._edge_count = last
-        if nu.isdisjoint(nv) and not self._reaches(u, v):
-            self._parent = list(range(len(self._adj)))
-            for a, b in self._slot:
-                self._union(a, b)
-            self._components += 1
-
-    def _find(self, u: int) -> int:
-        parent = self._parent
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    def _union(self, u: int, v: int) -> bool:
-        """Join the components of u and v; False if they were one already."""
-        ru, rv = self._find(u), self._find(v)
-        if ru == rv:
-            return False
-        self._parent[ru] = rv
-        return True
-
-    def _reaches(self, u: int, v: int) -> bool:
-        """Whether a path joins u and v, by breadth-first search from u."""
-        seen = {u}
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in self._adj[a]:
-                    if b == v:
-                        return True
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return False
+        if du == 0 and dv == 0:
+            self._connected = True if last == 0 else None
+        elif du and dv and self._connected and nu.isdisjoint(nv):
+            self._connected = None
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
@@ -231,9 +196,19 @@ class Graph:
         """Degree sequence as an int64 array view. Treat as read-only."""
         return self._deg[: len(self._adj)]
 
-    def edge_components(self) -> int:
-        """Number of connected components that contain at least one edge."""
-        return self._components - self._isolated
+    def connected(self) -> bool:
+        """Whether at most one connected component holds edges; isolated
+        nodes do not count. Settles a cached unknown by one breadth-first
+        search from an endpoint of the first edge (a graph without edges is
+        never unknown)."""
+        if self._connected is None:
+            adj = self._adj
+            seen = frontier = {int(self._src[0])}
+            while frontier:
+                frontier = set().union(*(adj[a] for a in frontier)) - seen
+                seen |= frontier
+            self._connected = len(seen) == int(np.count_nonzero(self.degree_array()))
+        return self._connected
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and destination arrays of both directions of every edge

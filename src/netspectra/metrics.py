@@ -10,7 +10,7 @@ between their trajectories is the headline statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .graph import Graph, degree_stats
@@ -150,13 +150,8 @@ def average_runs(series: list[Series]) -> AveragedSummary:
     per_step = Series(
         list(grid), mean("node_count"), mean("edge_count"), mean("lambda_ratio"), mean("cv")
     )
-    return AveragedSummary(
-        runs=n_runs,
-        mean_lambda_ratio=per_step.lambda_ratio[-1],
-        mean_cv=per_step.cv[-1],
-        mean_correlation=_mean_correlation(series),
-        per_step=per_step,
-    )
+    # the final per-step means are summarize_final's means, to the bit
+    return replace(summarize_final(series), per_step=per_step)
 
 
 def summarize_final(series: list[Series]) -> AveragedSummary:

@@ -276,7 +276,7 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
     # Isolated nodes aside, a disconnected graph's iterate fades on every
     # component but the dominant one, so it is a poor start once another
     # component overtakes: warm starts chain only across connected graphs.
-    connected = g.edge_components() == 1
+    connected = g.connected()
     x0 = _start_vector(g, connected)
 
     radius, vec, iters, ok, residual = _iterate(src, dst, x0, config, shift=0.0)

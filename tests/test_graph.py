@@ -258,21 +258,22 @@ def _reference_degree_stats(degs):
     return min(degs), max(degs), k_avg, k_sd
 
 
-def _assert_counters_match_recount(g):
-    # The sum of squared degrees and the isolated-node count the graph keeps,
-    # read through degree_stats (exactly) and edge_components, against a
-    # recount from the neighbor sets.
+def _assert_square_sum_matches_recount(g):
+    # The sum of squared degrees the graph keeps, read through degree_stats
+    # (exactly), against a recount from the neighbor sets.
     degs = [len(g.neighbors(u)) for u in range(g.node_count)]
     n, s1, s2 = len(degs), sum(degs), sum(d * d for d in degs)
     assert degree_stats(g).k_sd == math.sqrt((n * s2 - s1 * s1) / (n * n))
-    assert g.edge_components() == _edge_components_by_search(g)
 
 
 def test_incremental_arrays_track_random_mutations():
-    # arcs, degree array, degree moments, isolated nodes and component count
-    # against recomputation from the neighbor sets after every add, remove
-    # and node arrival
+    # arcs, degree array and degree moments against recomputation from the
+    # neighbor sets after every add, remove and node arrival; connectivity
+    # at random steps only, so that the cached flag also goes through
+    # mutations while unknown and while known to be false
     rng = np.random.default_rng(20240611)
+    ask = np.random.default_rng(7)
+    searched = cached = 0
     g = Graph(5)
     for _ in range(1500):
         r = rng.random()
@@ -294,7 +295,12 @@ def test_incremental_arrays_track_random_mutations():
         assert (stats.k_min, stats.k_max) == (k_min, k_max)
         assert stats.k_avg == pytest.approx(k_avg, abs=1e-12)
         assert stats.k_sd == pytest.approx(k_sd, abs=1e-12)
-        _assert_counters_match_recount(g)
+        _assert_square_sum_matches_recount(g)
+        if ask.random() < 0.2:
+            searched += g._connected is None
+            cached += g._connected is False
+            assert g.connected() == (_edge_components_by_search(g) <= 1)
+    assert searched > 20 and cached > 0
 
 
 @pytest.mark.parametrize(
@@ -309,11 +315,12 @@ def test_removal_splits_only_at_a_bridge(edge, components):
     for u, v in ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)):
         g.add_edge(u, v)
     g.remove_edge(*edge)
-    assert g.edge_components() == components
-    # the component structure stays right for the removals that follow
+    assert _edge_components_by_search(g) == components
+    assert g.connected() == (components == 1)
+    # the connectivity flag stays right for the removals that follow
     for u, v in sorted(g.edges()):
         g.remove_edge(u, v)
-        assert g.edge_components() == _edge_components_by_search(g)
+        assert g.connected() == (_edge_components_by_search(g) <= 1)
 
 
 def _edge_components_by_search(g):
@@ -336,12 +343,19 @@ def _edge_components_by_search(g):
 def test_edge_components_split_and_merge():
     g = path_graph(4)
     g.add_node()
-    assert g.edge_components() == 1  # isolated nodes do not count
+    assert g.connected()  # isolated nodes do not count
     g.remove_edge(1, 2)
-    assert g.edge_components() == 2
+    assert not g.connected()
     g.add_edge(0, 3)
-    assert g.edge_components() == 1
+    assert g.connected()
     g.remove_edge(0, 1)  # leaves node 1 isolated, not a second component
-    assert g.edge_components() == 1
+    assert g.connected()
     g.add_edge(1, 4)
-    assert g.edge_components() == 2
+    assert not g.connected()
+    g.add_node()
+    g.add_node()
+    g.add_edge(5, 6)
+    g.remove_edge(1, 4)  # a lone edge goes, two components are left
+    assert not g.connected()
+    g.remove_edge(5, 6)
+    assert g.connected()

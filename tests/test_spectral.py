@@ -276,6 +276,20 @@ def test_solve_after_minor_component_overtakes():
     assert power_iteration(g).spectral_radius == pytest.approx(1 + math.sqrt(5), abs=1e-6)
 
 
+def test_run_that_stays_disconnected_solves_cold():
+    # This seed graph has two components, and one link per arrival never
+    # joins them. The first solve's search settles the graph's connectivity
+    # flag as False, and each arrival keeps it False with no search; every
+    # solve must start from all-ones, as on a fresh copy.
+    def check(step, g):
+        assert g._connected is (None if step == 39 else False)
+        warm = power_iteration(g)
+        cold = power_iteration(fresh_copy(g))
+        assert (warm.spectral_radius, warm.iterations) == (cold.spectral_radius, cold.iterations)
+
+    ba_evolve(BAConfig(40, 120, 1), np.random.default_rng(0), check)
+
+
 PINNED_GRAPHS = {
     "ws-beta-0.5": lambda: ws_evolve(WSConfig(50, 0.5), np.random.default_rng(21)),
     "ws-beta-1.0": lambda: ws_evolve(WSConfig(50, 1.0), np.random.default_rng(22)),
