@@ -276,6 +276,12 @@ def degree_stats(g: Graph) -> DegreeStats:
 
 _NODES_HEADER = re.compile(r"#\s*nodes:\s*(\d+)\s*$")
 
+# Largest node count parse_edge_list accepts. The graph is sized from the
+# '# nodes:' header or the largest node ID before any edge is added, and
+# every node gets a neighbour set: a million nodes already take ~220 MB and
+# ~3 s, so a few bytes of input must not ask for more.
+_MAX_NODES = 10**6
+
 
 def parse_edge_list(text: str) -> Graph:
     """Build a graph from edge-list text.
@@ -284,8 +290,9 @@ def parse_edge_list(text: str) -> Graph:
     beginning with ``#`` are comments; a ``# nodes: <n>`` header fixes the node
     count, otherwise it is inferred as 1 + the largest ID seen.
 
-    Raises EdgeListParseError on malformed input, a self-loop or a duplicate
-    edge, with the offending line number in ``.line`` when there is one.
+    Raises EdgeListParseError on malformed input, a node count above
+    _MAX_NODES, a self-loop or a duplicate edge, with the offending line
+    number in ``.line`` when there is one.
     """
     declared: int | None = None
     edges: list[tuple[int, int, int]] = []
@@ -298,6 +305,8 @@ def parse_edge_list(text: str) -> Graph:
             m = _NODES_HEADER.match(line)
             if m and declared is None:
                 declared = int(m.group(1))
+                if declared > _MAX_NODES:
+                    raise EdgeListParseError(f"node count exceeds the limit of {_MAX_NODES}", line_no)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -310,6 +319,8 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(f"node IDs must be decimal integers: {line!r}", line_no) from None
         if u < 0 or v < 0:
             raise EdgeListParseError(f"node IDs must be nonnegative: {line!r}", line_no)
+        if max(u, v) >= _MAX_NODES:
+            raise EdgeListParseError(f"node ID exceeds the limit of {_MAX_NODES} nodes: {line!r}", line_no)
         edges.append((u, v, line_no))
         max_id = max(max_id, u, v)
 

@@ -13,10 +13,12 @@ power of the matrix once from the arcs by float32 squarings: the eighth
 power when all its entries (walk counts) stay below 2**24, so that float32
 holds them exactly, else the fourth. A step is one matrix-vector product
 that does the work of eight (or four) multiplies for about the cost of one
-sparse multiply. Dense steps run in a loop of their own, which steps with
-the fourth power once fewer than eight multiplies of budget are left, and
-sparse multiplies in another that takes over from it when fewer than four
-are left; both apply the same stopping rule.
+sparse multiply. One loop runs every step over a ladder of kernels built
+once per solve: the eighth power, the fourth, then the sparse arcs. It
+steps with each while its power still fits the remaining budget, so the
+fourth power takes over once fewer than eight multiplies are left and the
+sparse arcs once fewer than four are; the stopping rule applies to every
+step alike.
 
 Evolution runs solve after every one-to-few edge change, and a change that
 small moves the principal eigenvector little. Each solve on a connected graph
@@ -154,41 +156,52 @@ def _iterate(
     iterate is rescaled only when its squared norm passes _RESCALE_ABOVE, and
     the returned vector is normalized.
 
-    On a graph of at most _DENSE_MAX_NODES nodes, the solve first runs its
-    own loop of products with a dense power M = (A + shift*I)**p, built once
-    per call: M8 (p = 8) when it is exact in float32, else M4 (p = 4). A
-    step counts as p multiplies and its estimate is (yy_k / yy_{k-1}) **
-    (1 / (2p)), the geometric mean of the p growth factors. A step never
-    takes the count past ``max_iterations``: M8 steps run while at least 8
-    multiplies are left and M4 steps while at least 4 are left; then the
-    dense loop hands its iterate and last estimate to the sparse loop, whose
-    step is one multiply (a gather and a bincount over the arcs) and which
-    alone runs on larger graphs. Both loops apply the same stopping rule,
-    zero-norm guard and rescaling to that running state.
+    One loop steps through a ladder of kernels built once per call, highest
+    power first: on a graph of at most _DENSE_MAX_NODES nodes (and a budget
+    of at least 4) the dense powers M8 = (A + shift*I)**8, when it is exact
+    in float32, and M4, then the sparse arcs. A step with a dense power M =
+    (A + shift*I)**p is one matrix-vector product that counts as p
+    multiplies, and its estimate is (yy_k / yy_{k-1}) ** (1 / (2p)), the
+    geometric mean of the p growth factors; a sparse step is one multiply, a
+    gather and a bincount over the arcs. Each kernel steps while its power
+    still fits the remaining budget, so the count never passes
+    ``max_iterations``: an M8 solve takes M8 steps while at least 8
+    multiplies are left, then one M4 step if at least 4 are, then sparse
+    steps. A dense power is converted to float64 only when its phase starts.
+    The stopping rule, zero-norm guard and rescaling act on the running state
+    whichever kernel took the step.
     """
     n = len(x)
     budget = config.max_iterations
     tolerance = config.tolerance
+    ladder: list[tuple[int, np.ndarray | None]] = [(1, None)]
+    if n <= _DENSE_MAX_NODES and budget >= 4:
+        m4, m8 = _dense_powers(src, dst, n, shift)
+        ladder[:0] = [(4, m4)] if m8 is None else [(8, m8), (4, m4)]
+    bincount = np.bincount
     xx = x.dot(x)
     prev_norm = -1.0
     residual = math.inf
     iterations = 0
-    if n <= _DENSE_MAX_NODES and budget >= 4:
-        m4, m8 = _dense_powers(src, dst, n, shift)
-        power, m = (4, m4) if m8 is None else (8, m8)
-        m_dot = m.astype(np.float64).dot
-        while budget - iterations >= 4:
-            if budget - iterations < power:
-                # 4 to 7 multiplies left for an M8 solve: one last M4 step
-                power, m_dot = 4, m4.astype(np.float64).dot
-            y = m_dot(x)
+    for power, m in ladder:
+        last = budget - power  # the largest count this kernel can still step from
+        if iterations > last:
+            continue
+        m_dot = None if m is None else m.astype(np.float64).dot
+        while iterations <= last:
+            if m_dot is None:
+                y = bincount(dst, x[src], n)
+                if shift:
+                    y += shift * x
+            else:
+                y = m_dot(x)
             iterations += power
             yy = y.dot(y)
             if yy == 0.0:
                 # A annihilated the iterate: only possible with no edges at
                 # all, where the radius is exactly zero.
                 return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
-            norm = (yy / xx) ** (0.5 / power)
+            norm = math.sqrt(yy / xx) if m_dot is None else (yy / xx) ** (0.5 / power)
             if prev_norm >= 0.0:
                 residual = abs(norm - prev_norm)
                 if residual <= tolerance:
@@ -198,25 +211,6 @@ def _iterate(
                 y /= math.sqrt(yy)
                 yy = 1.0
             x, xx = y, yy
-    bincount = np.bincount
-    while iterations < budget:
-        y = bincount(dst, x[src], n)
-        if shift:
-            y += shift * x
-        iterations += 1
-        yy = y.dot(y)
-        if yy == 0.0:
-            return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
-        norm = math.sqrt(yy / xx)
-        if prev_norm >= 0.0:
-            residual = abs(norm - prev_norm)
-            if residual <= tolerance:
-                return norm, y / math.sqrt(yy), iterations, True, residual
-        prev_norm = norm
-        if yy > _RESCALE_ABOVE:
-            y /= math.sqrt(yy)
-            yy = 1.0
-        x, xx = y, yy
     return prev_norm, x / math.sqrt(xx), iterations, False, residual
 
 

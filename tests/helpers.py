@@ -135,11 +135,14 @@ def reference_iterate(
     max_iterations: int,
     shift: float,
 ) -> tuple[float, np.ndarray, int, bool, float]:
-    """``spectral._iterate`` as one loop for all its kernels: each step
+    """An independent oracle for ``spectral._iterate``'s kernel ladder: the
+    same one loop, but choosing its kernel afresh at every step. Each step
     multiplies by M8 = (A + shift*I)**8 (at most 128 nodes, every entry of
     M8 below 2**24, at least 8 multiplies of budget left), by M4 = (A +
     shift*I)**4 (at most 128 nodes, at least 4 left) or once by the sparse
-    arcs. The dense powers are integer matrix powers, taken in int64."""
+    arcs. The dense powers are integer matrix powers taken in int64, not the
+    library's float32 squarings, so a bit-identical result also checks that
+    those squarings are exact."""
     n = len(x)
     m4 = m8 = None
     if n <= 128 and max_iterations >= 4:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,32 @@ def test_analyze_rejected_edge_reports_file_and_line(tmp_path, capsys, text, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1000000\n", "line 1: node ID exceeds the limit of 1000000 nodes: '0 1000000'"),
+        ("# nodes: 99999999\n0 1\n", "line 1: node count exceeds the limit of 1000000"),
+    ],
+    ids=["id", "header"],
+)
+def test_analyze_node_count_past_limit_exits_2_without_allocating(tmp_path, capsys, text, message):
+    # A graph of a million nodes takes ~220 MB; the rejection must come
+    # before any of it is allocated.
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main(["analyze", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {message}\n"
+    assert peak < 1_000_000
 
 
 def test_analyze_edgeless_graph(tmp_path, capsys):

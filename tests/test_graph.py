@@ -11,6 +11,7 @@ from netspectra import (
     parse_edge_list,
     write_edge_list,
 )
+from netspectra import graph as graph_module
 
 from helpers import cycle_graph, path_graph, star_graph
 
@@ -187,6 +188,30 @@ def test_parse_header_only_gives_edgeless_graph():
     g = parse_edge_list("# nodes: 4\n")
     assert g.node_count == 4
     assert g.edge_count == 0
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("0 1\n1 10\n", 2, "node ID exceeds the limit of 10 nodes: '1 10'"),
+        ("# nodes: 11\n0 1\n", 1, "node count exceeds the limit of 10"),
+        ("# a comment\n# nodes: 11\n", 2, "node count exceeds the limit of 10"),
+        ("# nodes: 3\n0 10\n", 2, "node ID exceeds the limit of 10 nodes: '0 10'"),
+    ],
+    ids=["id", "header", "header-line-2", "id-under-small-header"],
+)
+def test_parse_rejects_node_count_past_limit(monkeypatch, text, line, message):
+    monkeypatch.setattr(graph_module, "_MAX_NODES", 10)
+    with pytest.raises(EdgeListParseError) as exc:
+        parse_edge_list(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_parse_accepts_node_count_at_limit(monkeypatch):
+    monkeypatch.setattr(graph_module, "_MAX_NODES", 10)
+    assert parse_edge_list("0 9\n").node_count == 10
+    assert parse_edge_list("# nodes: 10\n0 1\n").node_count == 10
 
 
 def test_parse_tags_self_loop_with_line():
