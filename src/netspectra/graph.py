@@ -1,13 +1,15 @@
 """Undirected simple graphs with incremental mutation and degree statistics.
 
-Nodes are dense 0-based integer IDs assigned in creation order. Adjacency is
-kept as one neighbor set per node, so self-loops and parallel edges cannot be
-represented. Next to the sets, the graph keeps the arrays the spectral solver
-and the degree statistics read, updated in place on every mutation: both
-directions of every edge as (source, destination) arc arrays, the degree of
-every node and the sum of squared degrees. It also caches whether its edges
-form one component, settled by a search only when a mutation leaves it in
-doubt.
+Nodes are dense 0-based integer IDs assigned in creation order; self-loops
+and parallel edges are rejected. Each question about the graph is answered
+from one structure, updated in place on every mutation: edge membership and
+the sorted edge list from an index of the edges, each keyed (low, high);
+degrees and their sum of squares from a degree array and a running sum; the
+matrix the spectral solver multiplies by from both directions of every edge
+as (source, destination) arc arrays; and a node's neighbours, and the search
+that settles whether the edges form one component, from one private
+neighbour set per node. The graph caches that connectivity answer and
+searches only when a mutation leaves it in doubt.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ def _grown(a: np.ndarray, needed: int) -> np.ndarray:
 class Graph:
     """Mutable undirected simple graph.
 
-    Neighbor sets are symmetric at all times: ``v in g.neighbors(u)`` iff
-    ``u in g.neighbors(v)``.
-
-    Edge ``i`` occupies arc slots ``2i`` (u to v) and ``2i + 1`` (v to u) of
+    The edge index maps each edge (low, high) to its number ``i``, and edge
+    ``i`` occupies arc slots ``2i`` (u to v) and ``2i + 1`` (v to u) of
     the arrays returned by ``arcs``. Adding an edge appends its pair; removing
     one moves the last pair into the freed slots, so arc order is insertion
     order only until the first removal.
@@ -119,7 +119,8 @@ class Graph:
         self._check_node(v)
         if u == v:
             raise GraphError(f"self-loop {u}-{v}")
-        if v in self._adj[u]:
+        key = (u, v) if u < v else (v, u)
+        if key in self._slot:
             raise GraphError(f"duplicate edge {u}-{v}")
         nu = self._adj[u]
         nv = self._adj[v]
@@ -138,7 +139,7 @@ class Graph:
         self._dst = _grown(self._dst, 2 * i + 2)
         self._src[2 * i] = self._dst[2 * i + 1] = u
         self._dst[2 * i] = self._src[2 * i + 1] = v
-        self._slot[(u, v) if u < v else (v, u)] = i
+        self._slot[key] = i
         self._deg[u] += 1
         self._deg[v] += 1
         self._edge_count = i + 1
@@ -148,7 +149,8 @@ class Graph:
         an edge not present."""
         self._check_node(u)
         self._check_node(v)
-        if v not in self._adj[u]:
+        i = self._slot.pop((u, v) if u < v else (v, u), None)
+        if i is None:
             raise GraphError(f"edge {u}-{v} not present")
         nu = self._adj[u]
         nv = self._adj[v]
@@ -158,7 +160,6 @@ class Graph:
         du = len(nu)
         dv = len(nv)
         self._square_sum -= 2 * (du + dv) + 2
-        i = self._slot.pop((u, v) if u < v else (v, u))
         last = self._edge_count - 1
         if i != last:
             a = int(self._src[2 * last])
@@ -177,16 +178,16 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        return v in self._adj[u]
+        return ((u, v) if u < v else (v, u)) in self._slot
 
-    def neighbors(self, u: int) -> set[int]:
-        """Neighbor set of ``u``. Treat as read-only; mutate via add/remove_edge."""
+    def neighbors(self, u: int) -> list[int]:
+        """Neighbours of ``u`` in ascending order, as a new list."""
         self._check_node(u)
-        return self._adj[u]
+        return sorted(self._adj[u])
 
     def degree(self, u: int) -> int:
         self._check_node(u)
-        return len(self._adj[u])
+        return int(self._deg[u])
 
     def degrees(self) -> list[int]:
         """Degree sequence indexed by node ID."""
@@ -202,10 +203,9 @@ class Graph:
         search from an endpoint of the first edge (a graph without edges is
         never unknown)."""
         if self._connected is None:
-            adj = self._adj
             seen = frontier = {int(self._src[0])}
             while frontier:
-                frontier = set().union(*(adj[a] for a in frontier)) - seen
+                frontier = set().union(*(self._adj[a] for a in frontier)) - seen
                 seen |= frontier
             self._connected = len(seen) == int(np.count_nonzero(self.degree_array()))
         return self._connected
@@ -218,15 +218,12 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
-        for u, nbrs in enumerate(self._adj):
-            for v in sorted(nbrs):
-                if u < v:
-                    yield (u, v)
+        yield from sorted(self._slot)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        return self.node_count == other.node_count and self._slot.keys() == other._slot.keys()
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
@@ -304,7 +301,9 @@ def parse_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             m = _NODES_HEADER.match(line)
             if m and declared is None:
-                declared = int(m.group(1))
+                # int() refuses strings of more than 4,300 digits: count them first
+                digits = m.group(1).lstrip("0")
+                declared = int(digits or 0) if len(digits) <= len(str(_MAX_NODES)) else _MAX_NODES + 1
                 if declared > _MAX_NODES:
                     raise EdgeListParseError(f"node count exceeds the limit of {_MAX_NODES}", line_no)
             continue

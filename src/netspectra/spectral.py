@@ -25,9 +25,11 @@ small moves the principal eigenvector little. Each solve on a connected graph
 therefore starts from the graph's previous converged iterate. A node added
 since takes the value the eigen-equation gives it from its neighbours in that
 iterate: their sum over the radius of the solve that stored it. A graph's
-first solve, and any solve on a disconnected graph, starts from the all-ones
-vector. Here a graph counts as connected when one component holds all its
-edges; isolated nodes do not count.
+first solve and any solve on a disconnected graph start from the all-ones
+vector, and so does a solve whose warm start is zero on every endpoint of
+every edge (edges that moved onto nodes isolated at the last solve). Here a
+graph counts as connected when one component holds all its edges; isolated
+nodes do not count.
 """
 
 from __future__ import annotations
@@ -121,12 +123,6 @@ def _dense_powers(
     a squaring exact. M4's entries are at most n**3 <= 2**24 for n <= 256,
     so M4 is always exact; M8 is returned only when its largest entry is
     below 2**24, and then equals the integer matrix power.
-
-    M4 is the square of the symmetric (A + shift*I)**2, so M8's diagonal
-    entry i is the sum of squares of M4's row i, at least M4[i, i]**2. A
-    diagonal entry of M4 of 2**12 or more (a hub of degree 64 or more has
-    one) therefore rules M8 out without the squaring. Lighter hubs can still
-    push M8 past 2**24; then the squaring decides.
     """
     m = np.zeros((n, n), dtype=np.float32)
     m[dst, src] = 1.0
@@ -134,8 +130,6 @@ def _dense_powers(
         m.flat[:: n + 1] = shift
     m = m.dot(m)
     m4 = m.dot(m)
-    if m4.diagonal().max() >= 2**12:
-        return m4, None
     m8 = m4.dot(m4)
     return m4, (m8 if m8.max() < 2**24 else None)
 
@@ -198,8 +192,9 @@ def _iterate(
             iterations += power
             yy = y.dot(y)
             if yy == 0.0:
-                # A annihilated the iterate: only possible with no edges at
-                # all, where the radius is exactly zero.
+                # A annihilated the iterate: the graph has no edges, or the
+                # start has no weight on any endpoint of one (power_iteration
+                # then restarts from all-ones).
                 return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
             norm = math.sqrt(yy / xx) if m_dot is None else (yy / xx) ** (0.5 / power)
             if prev_norm >= 0.0:
@@ -219,9 +214,10 @@ def _start_vector(g: Graph, connected: bool) -> np.ndarray:
     from the eigen-equation; all-ones when the graph has none or is not
     connected.
 
-    A new node v gets sum(x_u for its neighbours u already in the iterate)
-    divided by the radius of the solve that stored it, the value that makes
-    row v of A x = radius * x hold on the old entries.
+    A new node v gets sum(x_u for its neighbours u already in the iterate),
+    added in ascending node order so that the padding depends only on the
+    graph, divided by the radius of the solve that stored it: the value that
+    makes row v of A x = radius * x hold on the old entries.
     """
     n = g.node_count
     warm = g.warm_vector
@@ -241,14 +237,17 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
     """Largest adjacency eigenvalue of ``g`` and its eigenvector.
 
     Starts from the graph's last converged iterate (``Graph.warm_vector``),
-    or from the all-ones vector on the graph's first solve and whenever the
-    graph is disconnected. The factor by which one multiply grows the
-    iterate's Euclidean norm converges to the spectral radius, and iteration
-    stops when two consecutive factors agree to within the tolerance. If the
-    plain iteration exhausts its budget (norm oscillation on bipartite-like
+    or from the all-ones vector on the graph's first solve, whenever the
+    graph is disconnected, and again when the warm start is zero on every
+    endpoint of every edge, so that the first multiply annihilates it. The
+    factor by which one multiply grows the iterate's Euclidean norm
+    converges to the spectral radius, and iteration stops when two
+    consecutive factors agree to within the tolerance. If the plain
+    iteration exhausts its budget (norm oscillation on bipartite-like
     spectra), one retry runs on A + I from the same start and the radius is
-    the converged factor minus 1. The converged iterate of a connected graph, normalized,
-    becomes its new ``warm_vector``, and the radius its ``warm_radius``.
+    the converged factor minus 1. The converged iterate of a connected
+    graph, normalized, becomes its new ``warm_vector``, and the radius its
+    ``warm_radius``.
 
     Raises NotConvergedError, carrying the best unshifted result, if the
     retry fails too.
@@ -274,6 +273,11 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
     x0 = _start_vector(g, connected)
 
     radius, vec, iters, ok, residual = _iterate(src, dst, x0, config, shift=0.0)
+    if radius == 0.0:
+        # A warm start with no weight on any edge's endpoints: the edges
+        # moved to nodes the stored iterate is zero on (isolated at its solve).
+        x0 = np.ones(n, dtype=np.float64)
+        radius, vec, iters, ok, residual = _iterate(src, dst, x0, config, shift=0.0)
     shifted = not ok
     if shifted:
         plain = SpectralResult(radius, vec, iters, False, residual)

@@ -126,7 +126,7 @@ def ws_rewire(
         if rng.random() > beta:
             continue
         # v is a neighbour of u, so excluding u and its neighbours excludes v.
-        excluded = sorted(g.neighbors(u) | {u})
+        excluded = sorted([u, *g.neighbors(u)])
         if len(excluded) == total:
             events.append(RewireEvent((u, v), None))
             continue

@@ -95,8 +95,10 @@ def test_analyze_rejected_edge_reports_file_and_line(tmp_path, capsys, text, mes
     [
         ("0 1000000\n", "line 1: node ID exceeds the limit of 1000000 nodes: '0 1000000'"),
         ("# nodes: 99999999\n0 1\n", "line 1: node count exceeds the limit of 1000000"),
+        # int() refuses strings of more than 4,300 digits
+        ("# nodes: " + "9" * 5000 + "\n0 1\n", "line 1: node count exceeds the limit of 1000000"),
     ],
-    ids=["id", "header"],
+    ids=["id", "header", "header-5000-digits"],
 )
 def test_analyze_node_count_past_limit_exits_2_without_allocating(tmp_path, capsys, text, message):
     # A graph of a million nodes takes ~220 MB; the rejection must come

@@ -45,6 +45,40 @@ def test_add_edge_is_symmetric():
     assert 0 in g.neighbors(2)
 
 
+def test_neighbors_is_a_new_ascending_list():
+    g = Graph(5)
+    for v in (4, 1, 3):
+        g.add_edge(2, v)
+    nbrs = g.neighbors(2)
+    assert nbrs == [1, 3, 4]
+    nbrs.remove(4)
+    nbrs.append(0)
+    assert g.neighbors(2) == [1, 3, 4]
+    assert g.has_edge(2, 4) and not g.has_edge(2, 0)
+    assert list(g.edges()) == [(1, 2), (2, 3), (2, 4)]
+    src, dst = g.arcs()
+    assert sorted(zip(src.tolist(), dst.tolist())) == [
+        (1, 2), (2, 1), (2, 3), (2, 4), (3, 2), (4, 2)
+    ]
+    assert g.neighbors(0) == []
+
+
+def test_equality_ignores_insertion_order_but_not_node_count():
+    g = Graph(4)
+    h = Graph(4)
+    for u, v in ((0, 1), (1, 2), (2, 3)):
+        g.add_edge(u, v)
+    for u, v in ((3, 2), (2, 1), (1, 0)):
+        h.add_edge(u, v)
+    g.remove_edge(0, 1)  # re-added, it takes another edge index
+    g.add_edge(1, 0)
+    assert g == h
+    h.add_node()  # the same edges beside one more, isolated, node
+    assert g != h
+    g.add_node()
+    assert g == h
+
+
 def test_self_loop_rejected():
     g = Graph(3)
     with pytest.raises(GraphError, match="^self-loop 1-1$"):
@@ -197,8 +231,18 @@ def test_parse_header_only_gives_edgeless_graph():
         ("# nodes: 11\n0 1\n", 1, "node count exceeds the limit of 10"),
         ("# a comment\n# nodes: 11\n", 2, "node count exceeds the limit of 10"),
         ("# nodes: 3\n0 10\n", 2, "node ID exceeds the limit of 10 nodes: '0 10'"),
+        # int() refuses strings of more than 4,300 digits
+        ("# nodes: " + "9" * 5000 + "\n", 1, "node count exceeds the limit of 10"),
+        ("# nodes: 00000000011\n", 1, "node count exceeds the limit of 10"),
     ],
-    ids=["id", "header", "header-line-2", "id-under-small-header"],
+    ids=[
+        "id",
+        "header",
+        "header-line-2",
+        "id-under-small-header",
+        "header-5000-digits",
+        "header-leading-zeros",
+    ],
 )
 def test_parse_rejects_node_count_past_limit(monkeypatch, text, line, message):
     monkeypatch.setattr(graph_module, "_MAX_NODES", 10)
@@ -212,6 +256,12 @@ def test_parse_accepts_node_count_at_limit(monkeypatch):
     monkeypatch.setattr(graph_module, "_MAX_NODES", 10)
     assert parse_edge_list("0 9\n").node_count == 10
     assert parse_edge_list("# nodes: 10\n0 1\n").node_count == 10
+
+
+def test_parse_header_ignores_leading_zeros():
+    assert parse_edge_list("# nodes: 0000000000007\n0 1\n").node_count == 7
+    assert parse_edge_list("# nodes: " + "0" * 5000 + "7\n0 1\n").node_count == 7
+    assert parse_edge_list("# nodes: 000\n").node_count == 0
 
 
 def test_parse_tags_self_loop_with_line():
@@ -285,19 +335,21 @@ def _reference_degree_stats(degs):
 
 def _assert_square_sum_matches_recount(g):
     # The sum of squared degrees the graph keeps, read through degree_stats
-    # (exactly), against a recount from the neighbor sets.
+    # (exactly), against a recount from the neighbor lists.
     degs = [len(g.neighbors(u)) for u in range(g.node_count)]
     n, s1, s2 = len(degs), sum(degs), sum(d * d for d in degs)
     assert degree_stats(g).k_sd == math.sqrt((n * s2 - s1 * s1) / (n * n))
 
 
 def test_incremental_arrays_track_random_mutations():
-    # arcs, degree array and degree moments against recomputation from the
-    # neighbor sets after every add, remove and node arrival; connectivity
-    # at random steps only, so that the cached flag also goes through
-    # mutations while unknown and while known to be false
+    # arcs, neighbor lists, edge membership, degree array and degree
+    # moments against recomputation from one another after every add, remove
+    # and node arrival; connectivity at random steps only, so that the cached
+    # flag also goes through mutations while unknown and while known to be
+    # false
     rng = np.random.default_rng(20240611)
     ask = np.random.default_rng(7)
+    pairs = np.random.default_rng(8)
     searched = cached = 0
     g = Graph(5)
     for _ in range(1500):
@@ -312,7 +364,15 @@ def test_incremental_arrays_track_random_mutations():
                 g.add_edge(u, v)
         src, dst = g.arcs()
         both = sorted(list(g.edges()) + [(v, u) for u, v in g.edges()])
-        assert sorted(zip(src.tolist(), dst.tolist())) == both
+        arcs = sorted(zip(src.tolist(), dst.tolist()))
+        assert arcs == both
+        recount = [[] for _ in range(g.node_count)]
+        for a, b in arcs:
+            recount[a].append(b)
+        assert [g.neighbors(u) for u in range(g.node_count)] == recount
+        edges = set(g.edges())
+        for a, b in pairs.integers(g.node_count, size=(4, 2)).tolist():
+            assert g.has_edge(a, b) == ((min(a, b), max(a, b)) in edges)
         assert g.degree_array().tolist() == g.degrees()
         assert g.degrees() == [len(g.neighbors(u)) for u in range(g.node_count)]
         k_min, k_max, k_avg, k_sd = _reference_degree_stats(g.degrees())

@@ -467,8 +467,9 @@ def _eighth_power_cases():
 
 @pytest.mark.parametrize("shift", [0.0, 1.0])
 def test_dense_eighth_power_decision_matches_integer_rule(shift):
-    # M8 is kept exactly when the int64 eighth power stays below 2**24,
-    # whether _dense_powers rules it out from M4's diagonal or squares first.
+    # M8 is kept exactly when the int64 eighth power stays below 2**24. The
+    # cases reject M8 both where M4's diagonal alone rules it out (M8[i, i]
+    # is at least M4[i, i]**2) and where only the full eighth power does.
     outcomes = {"kept": 0, "ruled out by the diagonal": 0, "ruled out by M8": 0}
     for g in _eighth_power_cases():
         src, dst = g.arcs()
@@ -520,6 +521,49 @@ def test_new_nodes_start_from_the_eigen_equation():
     h = fresh_copy(g)
     assert h.warm_vector is None and h.warm_radius == 0.0
     assert np.array_equal(_start_vector(h, connected=True), np.ones(7))
+
+
+def test_padding_depends_only_on_the_graph():
+    # 3, 11 and 19 fall in one bucket of a small set, which would hand them
+    # back in insertion order; 0.1 + 0.2 + 0.3 rounds differently in either
+    # order. Equal graphs must pad with the same bits: the ascending sum.
+    starts = []
+    graphs = []
+    for order in ((3, 11, 19), (19, 11, 3)):
+        g = Graph(20)
+        g.warm_vector = np.zeros(20)
+        g.warm_vector[[3, 11, 19]] = (0.1, 0.2, 0.3)
+        g.warm_radius = 1.0
+        v = g.add_node()
+        for u in order:
+            g.add_edge(v, u)
+        graphs.append(g)
+        starts.append(_start_vector(g, connected=True))
+    assert graphs[0] == graphs[1]
+    assert starts[0].tobytes() == starts[1].tobytes()
+    assert starts[0][20] == 0.1 + 0.2 + 0.3
+
+
+@pytest.mark.parametrize(
+    "n, moved", [(4, ((2, 3),)), (200, ((150, 151), (151, 152)))], ids=["dense", "sparse"]
+)
+def test_warm_start_with_no_weight_on_any_edge_restarts_cold(n, moved):
+    # The solve on edge 0-1 stores an iterate that is zero on every other
+    # node. Once the only edges join such nodes the graph is still connected
+    # (isolated nodes do not count), but the first multiply annihilates the
+    # warm start, which must not read as radius 0.
+    g = Graph(n)
+    g.add_edge(0, 1)
+    power_iteration(g)
+    g.remove_edge(0, 1)
+    for u, v in moved:
+        g.add_edge(u, v)
+    assert g.connected()
+    warm = power_iteration(g)
+    cold = power_iteration(fresh_copy(g))
+    assert warm.converged
+    assert warm.spectral_radius == pytest.approx(math.sqrt(len(moved)), abs=1e-9)
+    assert (warm.spectral_radius, warm.iterations) == (cold.spectral_radius, cold.iterations)
 
 
 # (graph, start, max_iterations, shift) cases for the bit-identity guard:
