@@ -2,14 +2,14 @@
 
 Nodes are dense 0-based integer IDs assigned in creation order; self-loops
 and parallel edges are rejected. Each question about the graph is answered
-from one structure, updated in place on every mutation: edge membership and
-the sorted edge list from an index of the edges, each keyed (low, high);
-degrees and their sum of squares from a degree array and a running sum; the
-matrix the spectral solver multiplies by from both directions of every edge
-as (source, destination) arc arrays; and a node's neighbours, and the search
-that settles whether the edges form one component, from one private
-neighbour set per node. The graph caches that connectivity answer and
-searches only when a mutation leaves it in doubt.
+from one of three stores, each updated in place on every mutation. Edge
+membership, neighbours, the sorted edge list and the search that settles
+whether the edges form one component come from one private map per node,
+from neighbour to edge number. The matrix the spectral solver multiplies by
+comes from the (source, destination) arc arrays, which hold both directions
+of every edge. Degrees come from a degree array. The graph also keeps the sum
+of squared degrees and caches the connectivity answer, searching only when a
+mutation leaves it in doubt.
 """
 
 from __future__ import annotations
@@ -39,11 +39,16 @@ def _grown(a: np.ndarray, needed: int) -> np.ndarray:
 class Graph:
     """Mutable undirected simple graph.
 
-    The edge index maps each edge (low, high) to its number ``i``, and edge
-    ``i`` occupies arc slots ``2i`` (u to v) and ``2i + 1`` (v to u) of
-    the arrays returned by ``arcs``. Adding an edge appends its pair; removing
-    one moves the last pair into the freed slots, so arc order is insertion
-    order only until the first removal.
+    Three stores, one role each. Each node's edge map sends every neighbour
+    to the number ``i`` of the edge between them, and holds the same ``i``
+    as the neighbour's map does for the node; it answers edge membership,
+    neighbours, the edge list and the connectivity search. Edge ``i``
+    occupies arc slots ``2i`` (u to v) and ``2i + 1`` (v to u) of the
+    arrays returned by ``arcs``, which the spectral solver multiplies by.
+    Adding an edge appends its pair; removing one moves the last pair into
+    the freed slots and renumbers that edge in both endpoints' maps, so arc
+    order is insertion order only until the first removal. The degree array
+    answers degrees.
 
     Whether at most one component holds edges is cached as True, False or
     unknown (None). Each mutation updates the flag from its endpoints' new
@@ -68,7 +73,6 @@ class Graph:
         "_edge_count",
         "_src",
         "_dst",
-        "_slot",
         "_deg",
         "_connected",
         "_square_sum",
@@ -79,11 +83,11 @@ class Graph:
     def __init__(self, node_count: int = 0) -> None:
         if node_count < 0:
             raise ValueError(f"node_count must be nonnegative, got {node_count}")
-        self._adj: list[set[int]] = [set() for _ in range(node_count)]
+        # per node: neighbour -> number of the edge between them
+        self._adj: list[dict[int, int]] = [{} for _ in range(node_count)]
         self._edge_count = 0
         self._src = np.zeros(_MIN_CAPACITY, dtype=np.intp)
         self._dst = np.zeros(_MIN_CAPACITY, dtype=np.intp)
-        self._slot: dict[tuple[int, int], int] = {}  # (low, high) -> edge index
         self._deg = np.zeros(max(node_count, _MIN_CAPACITY), dtype=np.int64)
         self._connected: bool | None = True  # at most one component holds edges
         self._square_sum = 0  # sum of squared degrees
@@ -101,7 +105,7 @@ class Graph:
     def add_node(self) -> int:
         """Append an isolated node and return its ID (the previous node count)."""
         node = len(self._adj)
-        self._adj.append(set())
+        self._adj.append({})
         self._deg = _grown(self._deg, node + 1)
         return node
 
@@ -119,18 +123,15 @@ class Graph:
         self._check_node(v)
         if u == v:
             raise GraphError(f"self-loop {u}-{v}")
-        key = (u, v) if u < v else (v, u)
-        if key in self._slot:
-            raise GraphError(f"duplicate edge {u}-{v}")
         nu = self._adj[u]
         nv = self._adj[v]
-        nu.add(v)
-        nv.add(u)
+        if v in nu:
+            raise GraphError(f"duplicate edge {u}-{v}")
+        i = nu[v] = nv[u] = self._edge_count
         # a degree d -> d + 1 adds 2d + 1 to the sum of squares
         du = len(nu)
         dv = len(nv)
         self._square_sum += 2 * (du + dv) - 2
-        i = self._edge_count
         if du == 1 and dv == 1:
             self._connected = i == 0
         elif du > 1 and dv > 1 and not self._connected:
@@ -139,7 +140,6 @@ class Graph:
         self._dst = _grown(self._dst, 2 * i + 2)
         self._src[2 * i] = self._dst[2 * i + 1] = u
         self._dst[2 * i] = self._src[2 * i + 1] = v
-        self._slot[key] = i
         self._deg[u] += 1
         self._deg[v] += 1
         self._edge_count = i + 1
@@ -149,13 +149,12 @@ class Graph:
         an edge not present."""
         self._check_node(u)
         self._check_node(v)
-        i = self._slot.pop((u, v) if u < v else (v, u), None)
-        if i is None:
-            raise GraphError(f"edge {u}-{v} not present")
         nu = self._adj[u]
         nv = self._adj[v]
-        nu.discard(v)
-        nv.discard(u)
+        i = nu.pop(v, None)
+        if i is None:
+            raise GraphError(f"edge {u}-{v} not present")
+        del nv[u]
         # a degree d + 1 -> d takes 2d + 1 from the sum of squares
         du = len(nu)
         dv = len(nv)
@@ -166,19 +165,19 @@ class Graph:
             b = int(self._dst[2 * last])
             self._src[2 * i] = self._dst[2 * i + 1] = a
             self._dst[2 * i] = self._src[2 * i + 1] = b
-            self._slot[(a, b) if a < b else (b, a)] = i
+            self._adj[a][b] = self._adj[b][a] = i
         self._deg[u] -= 1
         self._deg[v] -= 1
         self._edge_count = last
         if du == 0 and dv == 0:
             self._connected = True if last == 0 else None
-        elif du and dv and self._connected and nu.isdisjoint(nv):
+        elif du and dv and self._connected and nu.keys().isdisjoint(nv):
             self._connected = None
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
         self._check_node(v)
-        return ((u, v) if u < v else (v, u)) in self._slot
+        return v in self._adj[u]
 
     def neighbors(self, u: int) -> list[int]:
         """Neighbours of ``u`` in ascending order, as a new list."""
@@ -218,12 +217,13 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
-        yield from sorted(self._slot)
+        for u, nu in enumerate(self._adj):
+            yield from ((u, v) for v in sorted(nu) if v > u)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.node_count == other.node_count and self._slot.keys() == other._slot.keys()
+        return [a.keys() for a in self._adj] == [b.keys() for b in other._adj]
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
@@ -271,21 +271,30 @@ def degree_stats(g: Graph) -> DegreeStats:
     )
 
 
-_NODES_HEADER = re.compile(r"#\s*nodes:\s*(\d+)\s*$")
+_NODES_HEADER = re.compile(r"#\s*nodes:\s*([0-9]+)\s*$")
 
 # Largest node count parse_edge_list accepts. The graph is sized from the
 # '# nodes:' header or the largest node ID before any edge is added, and
-# every node gets a neighbour set: a million nodes already take ~220 MB and
-# ~3 s, so a few bytes of input must not ask for more.
+# every node gets an edge map and a degree slot, 80 B before its first edge:
+# a million nodes already take ~80 MB, so a few bytes of input must not ask
+# for more.
 _MAX_NODES = 10**6
+
+
+def _decimal(digits: str) -> int:
+    """The value of a string of ASCII digits. One with more significant digits
+    than _MAX_NODES counts as _MAX_NODES + 1: int() refuses strings of more
+    than 4,300 digits."""
+    digits = digits.lstrip("0")
+    return int(digits or 0) if len(digits) <= len(str(_MAX_NODES)) else _MAX_NODES + 1
 
 
 def parse_edge_list(text: str) -> Graph:
     """Build a graph from edge-list text.
 
-    One edge per line as two whitespace-separated decimal node IDs. Lines
-    beginning with ``#`` are comments; a ``# nodes: <n>`` header fixes the node
-    count, otherwise it is inferred as 1 + the largest ID seen.
+    One edge per line as two whitespace-separated node IDs of ASCII digits.
+    Lines beginning with ``#`` are comments; a ``# nodes: <n>`` header fixes
+    the node count, otherwise it is inferred as 1 + the largest ID seen.
 
     Raises EdgeListParseError on malformed input, a node count above
     _MAX_NODES, a self-loop or a duplicate edge, with the offending line
@@ -301,9 +310,7 @@ def parse_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             m = _NODES_HEADER.match(line)
             if m and declared is None:
-                # int() refuses strings of more than 4,300 digits: count them first
-                digits = m.group(1).lstrip("0")
-                declared = int(digits or 0) if len(digits) <= len(str(_MAX_NODES)) else _MAX_NODES + 1
+                declared = _decimal(m.group(1))
                 if declared > _MAX_NODES:
                     raise EdgeListParseError(f"node count exceeds the limit of {_MAX_NODES}", line_no)
             continue
@@ -312,12 +319,10 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(
                 f"expected two node IDs, got {len(parts)} field(s): {line!r}", line_no
             )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(f"node IDs must be decimal integers: {line!r}", line_no) from None
-        if u < 0 or v < 0:
-            raise EdgeListParseError(f"node IDs must be nonnegative: {line!r}", line_no)
+        # int() would also take signs, underscores and non-ASCII digits
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise EdgeListParseError(f"node IDs must be decimal integers: {line!r}", line_no)
+        u, v = _decimal(parts[0]), _decimal(parts[1])
         if max(u, v) >= _MAX_NODES:
             raise EdgeListParseError(f"node ID exceeds the limit of {_MAX_NODES} nodes: {line!r}", line_no)
         edges.append((u, v, line_no))

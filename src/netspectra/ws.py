@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _MAX_NODES, Graph
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,11 @@ class WSConfig:
     rewiring_probability: float
 
     def __post_init__(self) -> None:
-        if self.nodes_per_ring < 3:
-            raise ValueError(f"nodes_per_ring must be >= 3, got {self.nodes_per_ring}")
+        # the double ring has 2 * nodes_per_ring nodes, each allocated up front
+        if not 3 <= self.nodes_per_ring <= _MAX_NODES // 2:
+            raise ValueError(
+                f"nodes_per_ring must be in [3, {_MAX_NODES // 2}], got {self.nodes_per_ring}"
+            )
         if not 0.0 <= self.rewiring_probability <= 1.0:
             raise ValueError(
                 f"rewiring_probability must be in [0, 1], got {self.rewiring_probability}"

@@ -78,8 +78,13 @@ def test_analyze_self_loop_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("0 1\n2 2\n", "line 2: self-loop 2-2"), ("0 1\n1 0\n", "line 2: duplicate edge 1-0")],
-    ids=["self-loop", "duplicate"],
+    [
+        ("0 1\n2 2\n", "line 2: self-loop 2-2"),
+        ("0 1\n1 0\n", "line 2: duplicate edge 1-0"),
+        # int() reads '1_0' as 10
+        ("0 1\n1_0 2\n", "line 2: node IDs must be decimal integers: '1_0 2'"),
+    ],
+    ids=["self-loop", "duplicate", "underscore-id"],
 )
 def test_analyze_rejected_edge_reports_file_and_line(tmp_path, capsys, text, message):
     path = tmp_path / "graph.txt"
@@ -310,6 +315,9 @@ WS_SMALL = ["ws", "--ring", "5", "--beta", "0.5", "--seed", "1", "--max-iteratio
         ["ba", "--initial", "1", "--total", "10", "--links", "2", "--seed", "1"],
         ["ws", "--ring", "2", "--beta", "0.5", "--seed", "1"],
         ["sweep", "--model", "ws", "--ring", "2", "--values", "0.5", "--seed", "1"],
+        # a double ring of 1,000,002 nodes, past the graph's 10**6-node limit
+        ["ws", "--ring", "500001", "--beta", "0", "--runs", "1", "--seed", "1"],
+        ["sweep", "--model", "ws", "--ring", "500001", "--values", "0", "--seed", "1"],
         ["ba", "--total", "10", "--links", "2", "--seed", "-5"],
         ["ws", "--ring", "5", "--beta", "0.5", "--seed", "-5"],
         ["sweep", "--model", "ba", "--initial", "3", "--total", "10", "--values", "inf",

@@ -1,16 +1,19 @@
-"""Byte-identity gate for the experiment commands.
+"""Byte-identity gate for the experiment commands and ``analyze``.
 
-Each command runs in-process and every file it writes is compared, by
-SHA-256, with the digest recorded for it. A refactor must leave these bytes
-alone; a change that moves numerics on purpose updates the digests and says
-so in CHANGES.md. A mismatch prints the command's new entry in the format of
-``GOLDEN``, ready to paste over the old one.
+Each command runs in-process and every file it writes, or for ``analyze``
+its stdout, is compared, by SHA-256, with the digest recorded for it. A
+refactor must leave these bytes alone; a change that moves numerics on
+purpose updates the digests and says so in CHANGES.md. A mismatch prints the
+command's new entry in the format of ``GOLDEN``, ready to paste over the old
+one.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from netspectra import BAConfig, ba_evolve, write_edge_list
 from netspectra.cli import main
 
 # Which solver kernel each command gates: every solve of the first four
@@ -60,3 +63,20 @@ def _golden_entry(command, digests):
     lines += [f'        "{name}": "{digest}",' for name, digest in sorted(digests.items())]
     lines.append("    },")
     return "\n".join(lines)
+
+
+# ``analyze`` on a 200-node BA graph saved by write_edge_list: parsing, the
+# graph it builds and a cold solve on the sparse kernel. The input's own
+# digest tells a change in the BA draws apart from one in ``analyze``.
+ANALYZE_INPUT = "eafadcc88c69dc482d9dd571ac62d29699cda87456adb8eab7208a9d2f5ff4da"
+ANALYZE_STDOUT = "dd3102d4234436215fde7f968695e8d3bcab60aa2e177f896558381a346038ad"
+
+
+def test_analyze_output_matches_recorded_digest(tmp_path, capsys):
+    text = write_edge_list(ba_evolve(BAConfig(3, 200, 2), np.random.default_rng(15)))
+    assert hashlib.sha256(text.encode()).hexdigest() == ANALYZE_INPUT
+    path = tmp_path / "ba200.txt"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_STDOUT, out

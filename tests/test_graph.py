@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,31 @@ def test_parse_rejects_negative_id():
         parse_edge_list("0 -1\n")
 
 
+@pytest.mark.parametrize(
+    "text", ["0 1\n1_0 2\n", "0 1\n+3 4\n", "0 1\n\u0663 1\n", "0 1\n1 \u00b2\n"],
+    ids=["underscore", "plus-sign", "arabic-indic-digit", "superscript-digit"],
+)
+def test_parse_rejects_ids_that_are_not_ascii_digits(text):
+    # int() accepts all four
+    with pytest.raises(EdgeListParseError) as exc:
+        parse_edge_list(text)
+    assert exc.value.line == 2
+    line = text.splitlines()[1]
+    assert str(exc.value) == f"line 2: node IDs must be decimal integers: {line!r}"
+
+
+def test_parse_header_of_non_ascii_digits_is_a_comment():
+    assert parse_edge_list("# nodes: \u0663\n0 1\n").node_count == 2
+    assert parse_edge_list("# nodes: abc\n0 1\n").node_count == 2
+
+
+def test_parse_ids_keep_leading_zeros():
+    g = parse_edge_list("# nodes: 0008\n007 1\n")
+    assert g.node_count == 8
+    assert list(g.edges()) == [(1, 7)]
+    assert parse_edge_list("0 " + "0" * 5000 + "3\n").node_count == 4
+
+
 def test_parse_rejects_id_beyond_declared_count():
     with pytest.raises(EdgeListParseError) as exc:
         parse_edge_list("# nodes: 3\n0 1\n1 5\n")
@@ -342,15 +368,15 @@ def _assert_square_sum_matches_recount(g):
 
 
 def test_incremental_arrays_track_random_mutations():
-    # arcs, neighbor lists, edge membership, degree array and degree
-    # moments against recomputation from one another after every add, remove
-    # and node arrival; connectivity at random steps only, so that the cached
-    # flag also goes through mutations while unknown and while known to be
-    # false
+    # arcs, edge numbers, neighbor lists, edge membership, degree array and
+    # degree moments against recomputation from one another after every add,
+    # remove and node arrival; connectivity at random steps only, so that the
+    # cached flag also goes through mutations while unknown and while known
+    # to be false
     rng = np.random.default_rng(20240611)
     ask = np.random.default_rng(7)
     pairs = np.random.default_rng(8)
-    searched = cached = 0
+    searched = cached = removed_last = moved_last = 0
     g = Graph(5)
     for _ in range(1500):
         r = rng.random()
@@ -359,6 +385,9 @@ def test_incremental_arrays_track_random_mutations():
         else:
             u, v = (int(x) for x in rng.choice(g.node_count, size=2, replace=False))
             if g.has_edge(u, v):
+                last = g._adj[u][v] == g.edge_count - 1
+                removed_last += last
+                moved_last += not last
                 g.remove_edge(v, u)
             elif r < 0.6:
                 g.add_edge(u, v)
@@ -366,6 +395,12 @@ def test_incremental_arrays_track_random_mutations():
         both = sorted(list(g.edges()) + [(v, u) for u, v in g.edges()])
         arcs = sorted(zip(src.tolist(), dst.tolist()))
         assert arcs == both
+        # edge i has the same number in both endpoints' maps and holds arc
+        # slots 2i and 2i + 1
+        for a, b in g.edges():
+            i = g._adj[a][b]
+            assert g._adj[b][a] == i
+            assert {(src[2 * i], dst[2 * i]), (src[2 * i + 1], dst[2 * i + 1])} == {(a, b), (b, a)}
         recount = [[] for _ in range(g.node_count)]
         for a, b in arcs:
             recount[a].append(b)
@@ -386,6 +421,19 @@ def test_incremental_arrays_track_random_mutations():
             cached += g._connected is False
             assert g.connected() == (_edge_components_by_search(g) <= 1)
     assert searched > 20 and cached > 0
+    assert removed_last > 0 and moved_last > 0
+
+
+def test_empty_graph_memory_per_node():
+    # every node costs its edge map and its degree slot before its first edge
+    tracemalloc.start()
+    try:
+        g = Graph(100_000)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.node_count == 100_000
+    assert traced / 100_000 <= 120
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,12 @@ from netspectra.ws import _nth_outside
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="nodes_per_ring must be >= 3"):
+    with pytest.raises(ValueError, match=r"nodes_per_ring must be in \[3, 500000\], got 2"):
         WSConfig(nodes_per_ring=2, rewiring_probability=0.5)
+    # the double ring's 2 * 500,001 nodes are past the graph's 10**6-node limit
+    with pytest.raises(ValueError, match=r"nodes_per_ring must be in \[3, 500000\], got 500001"):
+        WSConfig(nodes_per_ring=500_001, rewiring_probability=0.5)
+    assert WSConfig(nodes_per_ring=500_000, rewiring_probability=0.5).nodes_per_ring == 500_000
     with pytest.raises(ValueError):
         WSConfig(nodes_per_ring=10, rewiring_probability=-0.1)
     with pytest.raises(ValueError):
