@@ -12,7 +12,6 @@ from .graph import DegreeStats, Graph, degree_stats, parse_edge_list, write_edge
 from .metrics import (
     AveragedSummary,
     EvolutionRecord,
-    Series,
     average_runs,
     pearson,
     run_correlations,
@@ -41,7 +40,6 @@ __all__ = [
     "NotConvergedError",
     "PowerIterationConfig",
     "RewireEvent",
-    "Series",
     "SpectralResult",
     "SweepRow",
     "WSConfig",

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GraphError
-from .graph import Graph
+from .graph import _MAX_NODES, Graph
 
 Observer = Callable[[int, Graph], None]
 
@@ -42,6 +42,9 @@ class BAConfig:
                 f"total_nodes ({self.total_nodes}) must be >= initial_nodes "
                 f"({self.initial_nodes})"
             )
+        # bounds initial_nodes too: the seed graph is allocated up front
+        if self.total_nodes > _MAX_NODES:
+            raise ValueError(f"total_nodes must be <= {_MAX_NODES}, got {self.total_nodes}")
         if self.links_per_node < 1:
             raise ValueError(f"links_per_node must be >= 1, got {self.links_per_node}")
 

@@ -241,9 +241,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     head = {"model": args.command, "config": dataclasses.asdict(config)}
     files = {
-        f"{args.command}_timeseries.csv": _csv(
-            [f.name for f in dataclasses.fields(EvolutionRecord)], table.rows()
-        ),
+        f"{args.command}_timeseries.csv": _csv(EvolutionRecord._fields, table),
         f"{args.command}_summary.json": _json(head, args, seed, power, {"results": results}),
     }
     report = [
@@ -267,23 +265,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.model == "ba":
         if args.initial is None or args.total is None:
             raise ValueError("model 'ba' needs --initial and --total")
+        if args.ring is not None:
+            raise ValueError("model 'ba' takes no --ring")
         base = BAConfig(initial_nodes=args.initial, total_nodes=args.total, links_per_node=1)
         swept = "links_per_node"
     else:
         if args.ring is None:
             raise ValueError("model 'ws' needs --ring")
+        if args.initial is not None or args.total is not None:
+            raise ValueError("model 'ws' takes no --initial or --total")
         base = WSConfig(nodes_per_ring=args.ring, rewiring_probability=0.0)
         swept = "rewiring_probability"
     rows = run_sweep(base, values, args.runs, seed, power)
 
     config = {k: v for k, v in dataclasses.asdict(base).items() if k != swept}
     head = {"model": args.model, "config": config, "sweep": list(values)}
-    tail = {"rows": [dataclasses.asdict(row) for row in rows]}
+    tail = {"rows": [row._asdict() for row in rows]}
     files = {
-        f"sweep_{args.model}.csv": _csv(
-            [f.name for f in dataclasses.fields(SweepRow)],
-            (dataclasses.astuple(row) for row in rows),
-        ),
+        f"sweep_{args.model}.csv": _csv(SweepRow._fields, rows),
         f"sweep_{args.model}_summary.json": _json(head, args, seed, power, tail),
     }
     report = [f"sweep: model={args.model} values={args.values} runs={args.runs} seed={seed}"]

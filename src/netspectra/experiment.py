@@ -1,8 +1,9 @@
 """Seeded multi-run experiments over the growth and rewiring models.
 
 Both models evolve through one protocol, ``evolve(config, rng, observer)``,
-which reports the starting graph and every later step to the observer; one
-runner turns a condition into one ``Series`` of snapshots per run.
+which reports the starting graph and every later step to the observer as
+``observer(step, graph)``; one runner turns a condition into one list of
+``EvolutionRecord`` snapshots per run.
 
 Reproducibility scheme: one master seed per experiment. Every run gets its
 own generator seeded from the master through a spawn key, so runs are
@@ -13,14 +14,13 @@ be reproduced in isolation. The generator is numpy's default PCG64.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .ba import BAConfig, ba_evolve
 from .graph import Graph
-from .metrics import AveragedSummary, Series, average_runs, snapshot, summarize_final
+from .metrics import AveragedSummary, EvolutionRecord, average_runs, snapshot, summarize_final
 from .spectral import PowerIterationConfig
 from .ws import WSConfig, ws_evolve
 
@@ -39,15 +39,15 @@ def _run_series(
     runs: int,
     master_seed: int,
     power: PowerIterationConfig | None,
-) -> list[Series]:
+) -> list[list[EvolutionRecord]]:
     """Evolve ``runs`` graphs, run i on seed ``derive_seed(master_seed, i)``,
     snapshotting every step the model reports."""
-    out: list[Series] = []
+    out: list[list[EvolutionRecord]] = []
     for i in range(runs):
-        series = Series()
+        records: list[EvolutionRecord] = []
         rng = np.random.default_rng(derive_seed(master_seed, i))
-        evolve(config, rng, lambda step, g: series.append(snapshot(g, step, power)))
-        out.append(series)
+        evolve(config, rng, lambda step, g: records.append(snapshot(g, step, power)))
+        out.append(records)
     return out
 
 
@@ -56,7 +56,7 @@ def run_ba_condition(
     runs: int,
     master_seed: int,
     power: PowerIterationConfig | None = None,
-) -> tuple[AveragedSummary, list[Series]]:
+) -> tuple[AveragedSummary, list[list[EvolutionRecord]]]:
     """One growth condition, averaged per step across runs.
 
     Growth runs share the step grid by construction, so per-step means are
@@ -71,16 +71,15 @@ def run_ws_condition(
     runs: int,
     master_seed: int,
     power: PowerIterationConfig | None = None,
-) -> tuple[AveragedSummary, list[Series]]:
+) -> tuple[AveragedSummary, list[list[EvolutionRecord]]]:
     """One rewiring condition. Runs complete different numbers of rewires, so
     only final-state means are reported."""
     series = _run_series(ws_evolve, config, runs, master_seed, power)
     return summarize_final(series), series
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Cross-run summary of one condition in a parameter sweep."""
+class SweepRow(NamedTuple):
+    """Cross-run summary of one condition in a parameter sweep, and its CSV row."""
 
     param: float
     mean_lambda_ratio: float

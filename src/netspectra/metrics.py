@@ -1,5 +1,8 @@
 """Evolution tracking: per-step records, correlation, multi-run averaging.
 
+A run is a list of ``EvolutionRecord``s, one per step; the record is also the
+time series' CSV row.
+
 Two degree-based quantities are recorded at every step of a growing or
 rewiring network: the spectral radius of the adjacency matrix divided by the
 mean degree, and the coefficient of variation of the degree sequence. The
@@ -10,53 +13,26 @@ between their trajectories is the headline statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .graph import Graph, degree_stats
 from .spectral import PowerIterationConfig, spectral_radius_ratio
 
 
-@dataclass(frozen=True)
-class EvolutionRecord:
-    """State of one network at one step of its evolution."""
+class EvolutionRecord(NamedTuple):
+    """State of one network at one step of its evolution, and its CSV row.
 
-    step: int
-    node_count: int
-    edge_count: int
-    lambda_ratio: float
-    cv: float
-
-
-@dataclass
-class Series:
-    """Columns of evolution records, one entry per step, steps strictly increasing.
-
-    Holds one run's records, or the per-step means of runs that share a step
-    grid (whose node and edge counts are then floats).
+    A run is a list of records, steps strictly increasing. Per-step means of
+    runs that share a step grid are records too, with float node and edge
+    counts.
     """
 
-    step: list[int] = field(default_factory=list)
-    node_count: list[float] = field(default_factory=list)
-    edge_count: list[float] = field(default_factory=list)
-    lambda_ratio: list[float] = field(default_factory=list)
-    cv: list[float] = field(default_factory=list)
-
-    def append(self, record: EvolutionRecord) -> None:
-        if self.step and record.step <= self.step[-1]:
-            raise ValueError(f"step {record.step} does not follow {self.step[-1]}")
-        self.step.append(record.step)
-        self.node_count.append(record.node_count)
-        self.edge_count.append(record.edge_count)
-        self.lambda_ratio.append(record.lambda_ratio)
-        self.cv.append(record.cv)
-
-    def __len__(self) -> int:
-        return len(self.step)
-
-    def rows(self) -> Iterator[tuple]:
-        """Records as (step, node_count, edge_count, lambda_ratio, cv) tuples."""
-        return zip(self.step, self.node_count, self.edge_count, self.lambda_ratio, self.cv)
+    step: int
+    node_count: float
+    edge_count: float
+    lambda_ratio: float
+    cv: float
 
 
 def snapshot(g: Graph, step: int, config: PowerIterationConfig | None = None) -> EvolutionRecord:
@@ -96,13 +72,13 @@ def pearson(xs: list[float], ys: list[float]) -> float | None:
     return max(-1.0, min(1.0, r))
 
 
-def run_correlations(series: list[Series]) -> list[float | None]:
+def run_correlations(runs: list[list[EvolutionRecord]]) -> list[float | None]:
     """Within-run correlation of lambda_ratio against cv, one entry per run.
 
     None marks runs where the correlation is undefined (a constant series, or
     fewer than two records).
     """
-    return [pearson(run.lambda_ratio, run.cv) for run in series]
+    return [pearson([r.lambda_ratio for r in run], [r.cv for r in run]) for run in runs]
 
 
 @dataclass(frozen=True)
@@ -120,48 +96,44 @@ class AveragedSummary:
     mean_lambda_ratio: float
     mean_cv: float
     mean_correlation: float | None
-    per_step: Series | None = None
+    per_step: list[EvolutionRecord] | None = None
 
 
-def _mean_correlation(series: list[Series]) -> float | None:
-    defined = [c for c in run_correlations(series) if c is not None]
+def _mean_correlation(runs: list[list[EvolutionRecord]]) -> float | None:
+    defined = [c for c in run_correlations(runs) if c is not None]
     if not defined:
         return None
     return math.fsum(defined) / len(defined)
 
 
-def average_runs(series: list[Series]) -> AveragedSummary:
+def average_runs(runs: list[list[EvolutionRecord]]) -> AveragedSummary:
     """Combine runs that share a common step grid into per-step means.
 
     Raises ValueError if any run's steps differ from the first run's.
     """
-    if not series:
+    if not runs:
         raise ValueError("average_runs needs at least one run")
-    grid = series[0].step
-    for i, run in enumerate(series[1:], start=1):
-        if run.step != grid:
+    grid = [r.step for r in runs[0]]
+    for i, run in enumerate(runs[1:], start=1):
+        if [r.step for r in run] != grid:
             raise ValueError(f"run {i} steps differ from run 0")
-    n_runs = len(series)
-
-    def mean(column: str) -> list[float]:
-        columns = (getattr(run, column) for run in series)
-        return [math.fsum(values) / n_runs for values in zip(*columns)]
-
-    per_step = Series(
-        list(grid), mean("node_count"), mean("edge_count"), mean("lambda_ratio"), mean("cv")
-    )
+    n_runs = len(runs)
+    per_step = []
+    for step, records in zip(grid, zip(*runs)):
+        _, *columns = zip(*records)
+        per_step.append(EvolutionRecord(step, *(math.fsum(c) / n_runs for c in columns)))
     # the final per-step means are summarize_final's means, to the bit
-    return replace(summarize_final(series), per_step=per_step)
+    return replace(summarize_final(runs), per_step=per_step)
 
 
-def summarize_final(series: list[Series]) -> AveragedSummary:
+def summarize_final(runs: list[list[EvolutionRecord]]) -> AveragedSummary:
     """Cross-run means of final records only, for runs on unequal step grids."""
-    if not series:
+    if not runs:
         raise ValueError("summarize_final needs at least one run")
-    n_runs = len(series)
+    n_runs = len(runs)
     return AveragedSummary(
         runs=n_runs,
-        mean_lambda_ratio=math.fsum(run.lambda_ratio[-1] for run in series) / n_runs,
-        mean_cv=math.fsum(run.cv[-1] for run in series) / n_runs,
-        mean_correlation=_mean_correlation(series),
+        mean_lambda_ratio=math.fsum(run[-1].lambda_ratio for run in runs) / n_runs,
+        mean_cv=math.fsum(run[-1].cv for run in runs) / n_runs,
+        mean_correlation=_mean_correlation(runs),
     )

@@ -14,7 +14,6 @@ never themselves rewired.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,7 +55,6 @@ class RewireEvent:
         return self.new_edge is None
 
 
-RewireObserver = Callable[[RewireEvent, Graph], None]
 Observer = Callable[[int, Graph], None]
 
 
@@ -100,7 +98,7 @@ def ws_rewire(
     g: Graph,
     config: WSConfig,
     rng: np.random.Generator,
-    observer: RewireObserver | None = None,
+    observer: Observer | None = None,
 ) -> list[RewireEvent]:
     """Apply the rewiring sweep to a freshly built lattice, in place.
 
@@ -110,11 +108,11 @@ def ws_rewire(
     current neighbors. Candidate exhaustion is recorded as a skipped event
     instead of an error.
 
-    Returns the events in order. ``observer`` runs after each completed
-    rewire (not after skips), seeing the event and the mutated graph. At
-    probability zero the sweep returns immediately and consumes no
-    randomness, so the lattice is untouched by construction rather than by
-    chance.
+    Returns the events in order. ``observer(step, graph)`` runs after each
+    completed rewire (not after skips) with the mutated graph, step k after
+    the k-th completed rewire. At probability zero the sweep returns
+    immediately and consumes no randomness, so the lattice is untouched by
+    construction rather than by chance.
     """
     if g.node_count != 2 * config.nodes_per_ring:
         raise ValueError(
@@ -125,6 +123,7 @@ def ws_rewire(
         return []
     total = g.node_count
     events: list[RewireEvent] = []
+    steps = 0
     for u, v in initial_edges(config.nodes_per_ring):
         if rng.random() > beta:
             continue
@@ -136,10 +135,10 @@ def ws_rewire(
         w = _nth_outside(excluded, int(rng.integers(total - len(excluded))))
         g.remove_edge(u, v)
         g.add_edge(u, w)
-        event = RewireEvent((u, v), _ordered(u, w))
-        events.append(event)
+        events.append(RewireEvent((u, v), _ordered(u, w)))
+        steps += 1
         if observer is not None:
-            observer(event, g)
+            observer(steps, g)
     return events
 
 
@@ -150,14 +149,12 @@ def ws_evolve(
 ) -> Graph:
     """Build a lattice, apply the rewiring sweep to it and return it.
 
-    ``observer`` sees the pristine lattice as step 0 and then, after the k-th
-    completed rewire, the graph as step k; skipped events are not steps.
+    ``observer`` sees the pristine lattice as step 0, then ``ws_rewire``
+    passes it the graph as step k after the k-th completed rewire; skipped
+    events are not steps.
     """
     g = ws_initialize(config)
-    if observer is None:
-        ws_rewire(g, config, rng)
-        return g
-    observer(0, g)
-    steps = itertools.count(1)
-    ws_rewire(g, config, rng, lambda event, graph: observer(next(steps), graph))
+    if observer is not None:
+        observer(0, g)
+    ws_rewire(g, config, rng, observer)
     return g

@@ -23,7 +23,6 @@ import pytest
 
 from netspectra import (
     BAConfig,
-    Series,
     WSConfig,
     average_runs,
     ba_evolve,
@@ -75,7 +74,7 @@ def ba_series_checked(config, runs, master_seed):
     series = []
     for i in range(runs):
         rng = np.random.default_rng(derive_seed(master_seed, i))
-        ts = Series()
+        ts = []
         ba_evolve(config, rng, lambda step, g: ts.append(checked_snapshot(g, step)))
         series.append(ts)
     return series
@@ -94,15 +93,14 @@ def ws_series_checked(config, runs, master_seed):
     for i in range(runs):
         rng = np.random.default_rng(derive_seed(master_seed, i))
         g = ws_initialize(config)
-        ts = Series()
-        ts.append(checked_snapshot(g, 0))
+        ts = [checked_snapshot(g, 0)]
         checked = 0
 
-        def observe(event, graph):
+        def observe(step, graph):
             nonlocal checked
             assert graph.edge_count == links
             assert sum(graph.degrees()) == 2 * links
-            ts.append(checked_snapshot(graph, len(ts)))
+            ts.append(checked_snapshot(graph, step))
             checked += 1
 
         events = ws_rewire(g, config, rng, observe)
@@ -217,8 +215,8 @@ def test_06_unrewired_lattice_is_exactly_regular():
     assert checked_counts == [0] * 20
     for ts in series:
         assert len(ts) == 1
-        assert ts.lambda_ratio[0] == 1.0
-        assert ts.cv[0] == 0.0
+        assert ts[0].lambda_ratio == 1.0
+        assert ts[0].cv == 0.0
     print("[criterion 6] PASS 20 runs at probability 0: ratio 1.0 and cv 0.0 exact")
 
 

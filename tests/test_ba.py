@@ -46,6 +46,11 @@ def test_config_validation():
         BAConfig(initial_nodes=5, total_nodes=4, links_per_node=1)
     with pytest.raises(ValueError):
         BAConfig(initial_nodes=3, total_nodes=10, links_per_node=0)
+    # the seed graph is allocated up front, so both sizes stay within the
+    # graph's 10**6-node limit
+    with pytest.raises(ValueError, match=r"total_nodes must be <= 1000000, got 1000001"):
+        BAConfig(initial_nodes=1_000_001, total_nodes=1_000_001, links_per_node=1)
+    assert BAConfig(3, 1_000_000, 1).total_nodes == 1_000_000
 
 
 def test_seed_wiring_all_outcomes():

@@ -258,6 +258,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["sweep", "--model", "ws", "--values", "0.5", "--seed", "1"]) == 1
     assert main(["sweep", "--model", "ba", "--values", "2.5", "--initial", "3",
                  "--total", "10", "--seed", "1", "--out", str(tmp_path)]) == 1
+    # sweep-level: a flag of the other model is refused, not dropped
+    capsys.readouterr()
+    assert main(["sweep", "--model", "ws", "--values", "0.5", "--ring", "8", "--initial", "3",
+                 "--total", "50", "--seed", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: model 'ws' takes no --initial or --total\n"
+    assert main(["sweep", "--model", "ws", "--values", "0.5", "--ring", "8", "--total", "50",
+                 "--seed", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: model 'ws' takes no --initial or --total\n"
+    assert main(["sweep", "--model", "ba", "--values", "2", "--initial", "3", "--total", "50",
+                 "--ring", "8", "--seed", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: model 'ba' takes no --ring\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_graph_error_escaping_a_command_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
@@ -318,6 +330,9 @@ WS_SMALL = ["ws", "--ring", "5", "--beta", "0.5", "--seed", "1", "--max-iteratio
         # a double ring of 1,000,002 nodes, past the graph's 10**6-node limit
         ["ws", "--ring", "500001", "--beta", "0", "--runs", "1", "--seed", "1"],
         ["sweep", "--model", "ws", "--ring", "500001", "--values", "0", "--seed", "1"],
+        # a 1,000,001-node seed graph, rejected before it is allocated
+        ["ba", "--initial", "1000001", "--total", "1000001", "--links", "1", "--runs", "1",
+         "--seed", "1"],
         ["ba", "--total", "10", "--links", "2", "--seed", "-5"],
         ["ws", "--ring", "5", "--beta", "0.5", "--seed", "-5"],
         ["sweep", "--model", "ba", "--initial", "3", "--total", "10", "--values", "inf",

@@ -4,7 +4,6 @@ import pytest
 import netspectra.experiment
 from netspectra import (
     BAConfig,
-    Series,
     WSConfig,
     ba_evolve,
     derive_seed,
@@ -13,10 +12,6 @@ from netspectra import (
     run_ws_condition,
     snapshot,
 )
-
-
-def records(series):
-    return [list(run.rows()) for run in series]
 
 
 def test_derive_seed_is_stable():
@@ -31,11 +26,11 @@ def test_run_seeds():
     cfg = BAConfig(initial_nodes=3, total_nodes=20, links_per_node=2)
     _, series = run_ba_condition(cfg, 4, master_seed=7)
     for i, run in enumerate(series):
-        alone = Series()
+        alone = []
         rng = np.random.default_rng(derive_seed(7, i))
         ba_evolve(cfg, rng, lambda step, g: alone.append(snapshot(g, step)))
-        assert list(run.rows()) == list(alone.rows())
-    assert len({tuple(run.lambda_ratio) for run in series}) == 4
+        assert run == alone
+    assert len({tuple(r.lambda_ratio for r in run) for run in series}) == 4
 
 
 def test_experiment_config_validation():
@@ -57,33 +52,33 @@ def test_ba_series_grid_and_reproducibility():
     _, c = run_ba_condition(cfg, 3, master_seed=6)
     assert len(a) == 3
     for run in a:
-        assert run.step == list(range(2, 20))
-        assert run.node_count == list(range(3, 21))
-    assert records(a) == records(b)
-    assert records(a) != records(c)
+        assert [r.step for r in run] == list(range(2, 20))
+        assert [r.node_count for r in run] == list(range(3, 21))
+    assert a == b
+    assert a != c
 
 
 def test_runs_differ_from_each_other():
     cfg = BAConfig(initial_nodes=3, total_nodes=20, links_per_node=2)
     _, series = run_ba_condition(cfg, 2, master_seed=5)
-    assert list(series[0].rows()) != list(series[1].rows())
+    assert series[0] != series[1]
 
 
 def test_ws_series_counts_completed_rewires():
     cfg = WSConfig(nodes_per_ring=10, rewiring_probability=0.5)
     _, series = run_ws_condition(cfg, 3, master_seed=9)
     for run in series:
-        assert run.step == list(range(len(run)))
-        assert run.lambda_ratio[0] == 1.0
-        assert run.cv[0] == 0.0
-        assert run.edge_count == [40] * len(run)
+        assert [r.step for r in run] == list(range(len(run)))
+        assert run[0].lambda_ratio == 1.0
+        assert run[0].cv == 0.0
+        assert [r.edge_count for r in run] == [40] * len(run)
 
 
 def test_ws_series_reproducible():
     cfg = WSConfig(nodes_per_ring=8, rewiring_probability=0.7)
     _, a = run_ws_condition(cfg, 2, master_seed=3)
     _, b = run_ws_condition(cfg, 2, master_seed=3)
-    assert records(a) == records(b)
+    assert a == b
 
 
 def test_ba_condition_summary_shape():
@@ -92,10 +87,10 @@ def test_ba_condition_summary_shape():
     assert summary.runs == 4
     assert len(series) == 4
     per_step = summary.per_step
-    assert per_step.step == list(range(2, 25))
-    assert per_step.lambda_ratio[-1] == summary.mean_lambda_ratio
-    assert per_step.cv[-1] == summary.mean_cv
-    assert per_step.node_count == [float(n) for n in range(3, 26)]
+    assert [r.step for r in per_step] == list(range(2, 25))
+    assert per_step[-1].lambda_ratio == summary.mean_lambda_ratio
+    assert per_step[-1].cv == summary.mean_cv
+    assert [r.node_count for r in per_step] == [float(n) for n in range(3, 26)]
 
 
 def test_ws_condition_summary_shape():

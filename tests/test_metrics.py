@@ -3,7 +3,7 @@ import pytest
 from netspectra import (
     AveragedSummary,
     EvolutionRecord,
-    Series,
+    SweepRow,
     WSConfig,
     average_runs,
     pearson,
@@ -18,35 +18,23 @@ from helpers import star_graph
 
 def make_series(rows):
     """rows: (step, node_count, edge_count, lambda_ratio, cv) tuples."""
-    ts = Series()
-    for step, nodes, edges, ratio, cv in rows:
-        ts.append(EvolutionRecord(step, nodes, edges, ratio, cv))
-    return ts
+    return [EvolutionRecord(*row) for row in rows]
 
 
 def test_timeseries_accessors():
+    # the records are the CSV rows: their fields are the headers, in order
+    assert ",".join(EvolutionRecord._fields) == "step,node_count,edge_count,lambda_ratio,cv"
+    assert ",".join(SweepRow._fields) == "param,mean_lambda_ratio,mean_cv,mean_correlation,runs"
     ts = make_series([(0, 3, 2, 1.0, 0.1), (1, 4, 4, 1.2, 0.3)])
-    assert len(ts) == 2
-    assert ts.step == [0, 1]
-    assert ts.node_count == [3, 4]
-    assert ts.edge_count == [2, 4]
-    assert ts.lambda_ratio == [1.0, 1.2]
-    assert ts.cv == [0.1, 0.3]
-    assert list(ts.rows()) == [(0, 3, 2, 1.0, 0.1), (1, 4, 4, 1.2, 0.3)]
-
-
-def test_timeseries_requires_increasing_steps():
-    ts = make_series([(5, 3, 2, 1.0, 0.1)])
-    with pytest.raises(ValueError, match="step 5 does not follow 5"):
-        ts.append(EvolutionRecord(5, 4, 4, 1.1, 0.2))
-    with pytest.raises(ValueError, match="step 4 does not follow 5"):
-        ts.append(EvolutionRecord(4, 4, 4, 1.1, 0.2))
+    assert ts == [(0, 3, 2, 1.0, 0.1), (1, 4, 4, 1.2, 0.3)]
+    rec = ts[1]
+    assert (rec.step, rec.node_count, rec.edge_count, rec.lambda_ratio, rec.cv) == rec
 
 
 def test_timeseries_final_of_empty():
     # a run with no records has no final record to summarize
     with pytest.raises(IndexError):
-        summarize_final([Series()])
+        summarize_final([[]])
 
 
 def test_snapshot_star():
@@ -93,7 +81,7 @@ def test_average_runs_means():
     b = make_series([(0, 3, 3, 3.0, 1.5), (1, 4, 5, 4.0, 2.5)])
     s = average_runs([a, b])
     assert s.runs == 2
-    assert s.per_step == Series([0, 1], [3.0, 4.0], [2.5, 4.5], [2.0, 3.0], [1.0, 2.0])
+    assert s.per_step == [(0, 3.0, 2.5, 2.0, 1.0), (1, 4.0, 4.5, 3.0, 2.0)]
     assert s.mean_lambda_ratio == 3.0
     assert s.mean_cv == 2.0
     assert s.mean_correlation == pytest.approx(1.0)

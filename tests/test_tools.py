@@ -1,9 +1,11 @@
+import ast
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "code_lines.py"
 
 _spec = importlib.util.spec_from_file_location("code_lines", TOOL)
 code_lines_tool = importlib.util.module_from_spec(_spec)
@@ -89,3 +91,20 @@ def test_code_lines_defaults_to_the_package_sources(capsys):
     assert lines[-1].endswith("  total")
     total = int(lines[-1].split()[0].replace(",", ""))
     assert total == sum(int(line.split()[0].replace(",", "")) for line in lines[:-1])
+
+
+def test_src_imports_only_numpy_and_stdlib():
+    # scipy, pytest and the like serve the tests and the benchmark only
+    allowed = {"numpy", "netspectra"} | set(sys.stdlib_module_names)
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

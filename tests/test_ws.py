@@ -83,15 +83,21 @@ def test_full_probability_rewires_every_link():
 def test_rewire_mutates_graph_at_each_event():
     cfg = WSConfig(nodes_per_ring=10, rewiring_probability=1.0)
     g = ws_initialize(cfg)
+    seen = [(0, set(g.edges()))]
 
-    def check(event, graph):
-        u, v = event.original_edge
-        assert not graph.has_edge(u, v)
-        assert graph.has_edge(*event.new_edge)
+    def check(step, graph):
         assert graph.edge_count == 40
         assert sum(graph.degrees()) == 80
+        seen.append((step, set(graph.edges())))
 
-    ws_rewire(g, cfg, np.random.default_rng(7), check)
+    events = ws_rewire(g, cfg, np.random.default_rng(7), check)
+    completed = [e for e in events if not e.skipped]
+    assert completed
+    assert [step for step, _ in seen] == list(range(len(completed) + 1))
+    # at call k the graph is call k-1's with the k-th rewire applied
+    for (_, before), (_, after), event in zip(seen, seen[1:], completed):
+        assert event.original_edge in before
+        assert after == before - {event.original_edge} | {event.new_edge}
 
 
 def test_candidate_exhaustion_recorded_as_skip():
@@ -113,10 +119,18 @@ def test_observer_not_called_for_skips():
     cfg = WSConfig(nodes_per_ring=3, rewiring_probability=1.0)
     g = ws_initialize(cfg)
     calls = []
-    events = ws_rewire(g, cfg, np.random.default_rng(0), lambda e, _: calls.append(e))
+
+    def record(step, graph):
+        calls.append((step, set(graph.edges())))
+
+    events = ws_rewire(g, cfg, np.random.default_rng(0), record)
     completed = [e for e in events if not e.skipped]
-    assert calls == completed
+    assert [step for step, _ in calls] == list(range(1, len(completed) + 1))
     assert len(calls) < len(events)
+    # each call sees the graph just after its own completed rewire
+    for (_, edges), event in zip(calls, completed):
+        assert event.new_edge in edges
+        assert event.original_edge not in edges
 
 
 def test_rewire_reproducible():
