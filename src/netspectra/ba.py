@@ -14,14 +14,11 @@ replacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import GraphError
-from .graph import _MAX_NODES, Graph
-
-Observer = Callable[[int, Graph], None]
+from .graph import _MAX_NODES, Graph, Observer
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ into the output directory; given the same flags and seed they write the same
 bytes.
 
 Exit codes: 0 success, 1 usage error or unwritable output, 2 unreadable or
-malformed input file, 3 power iteration failed to converge. ``main`` maps
-every error to its code and prints it as one line on stderr.
+malformed input file, 3 power iteration failed to converge. ``main`` builds
+the solver settings that every command takes, maps every error to its code
+and prints it as one line on stderr.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import os
 import secrets
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from .ba import BAConfig
 from .errors import EdgeListParseError, NotConvergedError
-from .experiment import RNG_NAME, SweepRow, run_ba_condition, run_sweep, run_ws_condition
+from .experiment import (
+    RNG_NAME, SWEPT, run_ba_condition, run_sweep, run_ws_condition, sweep_conditions
+)
 from .graph import degree_stats, parse_edge_list
-from .metrics import EvolutionRecord
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -54,22 +56,20 @@ class _InputError(Exception):
     """The input file cannot be read or parsed; the message names the file."""
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips; always at least full precision."""
-    return repr(float(x))
-
-
-def _csv_cell(x: float | int | None) -> str:
+def _fmt(x: float | int | None) -> str:
+    """A report value or CSV cell: empty for None, an int as it is, and a
+    real as the shortest decimal that round-trips."""
     if x is None:
         return ""
     if isinstance(x, int):
         return str(x)
-    return _fmt(x)
+    return repr(float(x))
 
 
-def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
+def _csv(rows: Sequence[NamedTuple]) -> str:
+    """One line per named-tuple row, under a header of the rows' field names."""
+    lines = [",".join(rows[0]._fields)]
+    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -88,24 +88,22 @@ def _json(
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write through a temporary file in the same directory, then rename it
-    into place, so ``path`` never holds a partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _finish(out: Path, files: dict[str, str], report: list[str]) -> int:
-    """Write every output file, then print the report and the paths written."""
+    """Write every output file, then print the report and the paths written.
+
+    Each file is written through a temporary file in ``out`` and then renamed
+    into place, so no output path ever holds a partial file.
+    """
+    out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in files]
     for path, text in zip(paths, files.values()):
-        _write_text(path, text)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     for line in report + [f"wrote {path}" for path in paths]:
         print(line)
     return EXIT_OK
@@ -115,27 +113,21 @@ def _corr(x: float | None) -> str:
     return "undefined" if x is None else format(x, ".6g")
 
 
-def _power_config(args: argparse.Namespace) -> PowerIterationConfig:
-    return PowerIterationConfig(
-        tolerance=args.tolerance, max_iterations=args.max_iterations
-    )
-
-
-def _experiment_args(args: argparse.Namespace) -> tuple[int, PowerIterationConfig]:
-    """Master seed and solver settings of an experiment command, with
-    ``--runs`` checked. Omitting ``--seed`` draws a fresh seed and prints it
-    on stdout.
+def _master_seed(args: argparse.Namespace) -> int:
+    """Master seed of an experiment command, with ``--seed`` and ``--runs``
+    checked. Omitting ``--seed`` draws a fresh seed and prints it on stdout,
+    so the commands call this after every other check: a seed is printed only
+    for a run that goes ahead.
     """
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {args.seed}")
-    power = _power_config(args)
     if args.runs < 1:
         raise ValueError(f"runs must be >= 1, got {args.runs}")
     seed = args.seed
     if seed is None:
         seed = secrets.randbits(63)
         print(f"master seed (generated): {seed}")
-    return seed, power
+    return seed
 
 
 def _add_power_flags(p: argparse.ArgumentParser) -> None:
@@ -167,10 +159,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         default=Path("."),
         help="directory for CSV/JSON outputs (default current directory)",
     )
+    _add_power_flags(p)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    power = _power_config(args)
+def cmd_analyze(args: argparse.Namespace, power: PowerIterationConfig) -> int:
     try:
         text = args.path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -215,20 +207,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace, power: PowerIterationConfig) -> int:
     """``ba`` and ``ws``: one condition's time series and cross-run means."""
-    seed, power = _experiment_args(args)
     config: BAConfig | WSConfig
     if args.command == "ba":
         config = BAConfig(
             initial_nodes=args.initial, total_nodes=args.total, links_per_node=args.links
         )
         label = f"n0={config.initial_nodes} n={config.total_nodes} m={config.links_per_node}"
-        summary, series = run_ba_condition(config, args.runs, seed, power)
+        run = run_ba_condition
     else:
         config = WSConfig(nodes_per_ring=args.ring, rewiring_probability=args.beta)
         label = f"ring={config.nodes_per_ring} beta={config.rewiring_probability}"
-        summary, series = run_ws_condition(config, args.runs, seed, power)
+        run = run_ws_condition
+    seed = _master_seed(args)
+    summary, series = run(config, args.runs, seed, power)
 
     # Rewiring runs differ in length and have no per-step means, so their
     # time series file holds the first run only; the JSON carries the
@@ -241,7 +234,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     head = {"model": args.command, "config": dataclasses.asdict(config)}
     files = {
-        f"{args.command}_timeseries.csv": _csv(EvolutionRecord._fields, table),
+        f"{args.command}_timeseries.csv": _csv(table),
         f"{args.command}_summary.json": _json(head, args, seed, power, {"results": results}),
     }
     report = [
@@ -253,14 +246,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _finish(args.out, files, report)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace, power: PowerIterationConfig) -> int:
     """``sweep``: one condition per value of the swept parameter, a row each.
 
     The base config's swept field holds a placeholder that ``run_sweep``
     replaces per condition, so the echoed config leaves it out.
     """
-    seed, power = _experiment_args(args)
-    values = tuple(float(v) for v in args.values.split(",") if v.strip() != "")
+    values: list[float] = []
+    for entry in filter(str.strip, args.values.split(",")):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            message = f"--values must be comma-separated numbers, got {entry.strip()!r}"
+            raise ValueError(message) from None
     base: BAConfig | WSConfig
     if args.model == "ba":
         if args.initial is None or args.total is None:
@@ -268,21 +266,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.ring is not None:
             raise ValueError("model 'ba' takes no --ring")
         base = BAConfig(initial_nodes=args.initial, total_nodes=args.total, links_per_node=1)
-        swept = "links_per_node"
     else:
         if args.ring is None:
             raise ValueError("model 'ws' needs --ring")
         if args.initial is not None or args.total is not None:
             raise ValueError("model 'ws' takes no --initial or --total")
         base = WSConfig(nodes_per_ring=args.ring, rewiring_probability=0.0)
-        swept = "rewiring_probability"
+    sweep_conditions(base, values)  # every condition is checked before a seed is drawn
+    seed = _master_seed(args)
     rows = run_sweep(base, values, args.runs, seed, power)
 
+    swept = SWEPT[type(base)]
     config = {k: v for k, v in dataclasses.asdict(base).items() if k != swept}
-    head = {"model": args.model, "config": config, "sweep": list(values)}
+    head = {"model": args.model, "config": config, "sweep": values}
     tail = {"rows": [row._asdict() for row in rows]}
     files = {
-        f"sweep_{args.model}.csv": _csv(SweepRow._fields, rows),
+        f"sweep_{args.model}.csv": _csv(rows),
         f"sweep_{args.model}_summary.json": _json(head, args, seed, power, tail),
     }
     report = [f"sweep: model={args.model} values={args.values} runs={args.runs} seed={seed}"]
@@ -311,14 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ba.add_argument("--total", type=int, required=True, help="final node count")
     p_ba.add_argument("--links", type=int, required=True, help="links added per new node")
     _add_run_flags(p_ba)
-    _add_power_flags(p_ba)
     p_ba.set_defaults(func=cmd_run)
 
     p_ws = sub.add_parser("ws", help="rewire double-ring lattices and track the ratio")
     p_ws.add_argument("--ring", type=int, required=True, help="nodes per ring")
     p_ws.add_argument("--beta", type=float, required=True, help="rewiring probability")
     _add_run_flags(p_ws)
-    _add_power_flags(p_ws)
     p_ws.set_defaults(func=cmd_run)
 
     p_sw = sub.add_parser("sweep", help="run one model across several parameter values")
@@ -332,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--total", type=int, default=None, help="final node count (ba)")
     p_sw.add_argument("--ring", type=int, default=None, help="nodes per ring (ws)")
     _add_run_flags(p_sw)
-    _add_power_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
 
     return parser
@@ -342,7 +338,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # The one map from errors to exit codes; each is reported in one line.
     try:
-        return args.func(args)
+        power = PowerIterationConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
+        return args.func(args, power)
     except _InputError as exc:
         message, code = str(exc), EXIT_INPUT
     except NotConvergedError as exc:
@@ -353,7 +350,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         message, code = f"error: cannot write output: {exc}", EXIT_USAGE
     print(message, file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -88,12 +88,26 @@ class SweepRow(NamedTuple):
     runs: int
 
 
+# The config field a sweep sets to each of its values, per model.
+SWEPT = {BAConfig: "links_per_node", WSConfig: "rewiring_probability"}
+
+
 def _condition(base: BAConfig | WSConfig, value: float) -> BAConfig | WSConfig:
-    if isinstance(base, BAConfig):
-        if not float(value).is_integer():
-            raise ValueError(f"links-per-node sweep values must be integers, got {value}")
-        return dataclasses.replace(base, links_per_node=int(value))
-    return dataclasses.replace(base, rewiring_probability=float(value))
+    cast = int if isinstance(base, BAConfig) else float
+    if cast is int and not float(value).is_integer():
+        raise ValueError(f"links-per-node sweep values must be integers, got {value}")
+    return dataclasses.replace(base, **{SWEPT[type(base)]: cast(value)})
+
+
+def sweep_conditions(
+    base_config: BAConfig | WSConfig, values: tuple[float, ...] | list[float]
+) -> list[BAConfig | WSConfig]:
+    """One config per sweep value: ``base_config`` with its swept field set to
+    the value, and so checked. Raises ValueError for an empty sweep or for a
+    value the swept field does not take."""
+    if not values:
+        raise ValueError("at least one sweep value is required")
+    return [_condition(base_config, value) for value in values]
 
 
 def run_sweep(
@@ -106,18 +120,16 @@ def run_sweep(
     """Run one condition per value of the swept parameter: links per node for
     growth, rewiring probability for the lattice.
 
-    Every condition is built, and so validated, before the first one runs.
-    Condition i runs on master seed ``derive_seed(master_seed, i)``, so adding
-    or removing conditions never perturbs the others.
+    Every condition is built by ``sweep_conditions``, and so validated, before
+    the first one runs. Condition i runs on master seed
+    ``derive_seed(master_seed, i)``, so adding or removing conditions never
+    perturbs the others.
     """
-    if not values:
-        raise ValueError("at least one sweep value is required")
-    conditions = [_condition(base_config, value) for value in values]
-    seeds = [derive_seed(master_seed, i) for i in range(len(values))]
+    conditions = sweep_conditions(base_config, values)
     run = run_ba_condition if isinstance(base_config, BAConfig) else run_ws_condition
     rows: list[SweepRow] = []
-    for value, config, seed in zip(values, conditions, seeds):
-        summary, _ = run(config, runs, seed, power)
+    for i, (value, config) in enumerate(zip(values, conditions)):
+        summary, _ = run(config, runs, derive_seed(master_seed, i), power)
         rows.append(
             SweepRow(
                 param=float(value),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -227,6 +227,11 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
+
+
+# What both evolution models call with each step's number and the graph as
+# it stands after that step.
+Observer = Callable[[int, Graph], None]
 
 
 @dataclass(frozen=True)

@@ -99,41 +99,34 @@ class AveragedSummary:
     per_step: list[EvolutionRecord] | None = None
 
 
-def _mean_correlation(runs: list[list[EvolutionRecord]]) -> float | None:
-    defined = [c for c in run_correlations(runs) if c is not None]
-    if not defined:
-        return None
-    return math.fsum(defined) / len(defined)
-
-
 def average_runs(runs: list[list[EvolutionRecord]]) -> AveragedSummary:
     """Combine runs that share a common step grid into per-step means.
 
-    Raises ValueError if any run's steps differ from the first run's.
+    Raises ValueError if there are no runs or any run's steps differ from the
+    first run's.
     """
-    if not runs:
-        raise ValueError("average_runs needs at least one run")
+    # the final per-step means are these means, to the bit
+    summary = summarize_final(runs)
     grid = [r.step for r in runs[0]]
     for i, run in enumerate(runs[1:], start=1):
         if [r.step for r in run] != grid:
             raise ValueError(f"run {i} steps differ from run 0")
-    n_runs = len(runs)
     per_step = []
     for step, records in zip(grid, zip(*runs)):
         _, *columns = zip(*records)
-        per_step.append(EvolutionRecord(step, *(math.fsum(c) / n_runs for c in columns)))
-    # the final per-step means are summarize_final's means, to the bit
-    return replace(summarize_final(runs), per_step=per_step)
+        per_step.append(EvolutionRecord(step, *(math.fsum(c) / summary.runs for c in columns)))
+    return replace(summary, per_step=per_step)
 
 
 def summarize_final(runs: list[list[EvolutionRecord]]) -> AveragedSummary:
     """Cross-run means of final records only, for runs on unequal step grids."""
     if not runs:
-        raise ValueError("summarize_final needs at least one run")
+        raise ValueError("at least one run is required")
     n_runs = len(runs)
+    defined = [c for c in run_correlations(runs) if c is not None]
     return AveragedSummary(
         runs=n_runs,
         mean_lambda_ratio=math.fsum(run[-1].lambda_ratio for run in runs) / n_runs,
         mean_cv=math.fsum(run[-1].cv for run in runs) / n_runs,
-        mean_correlation=_mean_correlation(runs),
+        mean_correlation=math.fsum(defined) / len(defined) if defined else None,
     )

@@ -15,11 +15,10 @@ never themselves rewired.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .graph import _MAX_NODES, Graph
+from .graph import _MAX_NODES, Graph, Observer
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,6 @@ class RewireEvent:
     @property
     def skipped(self) -> bool:
         return self.new_edge is None
-
-
-Observer = Callable[[int, Graph], None]
 
 
 def _ordered(u: int, v: int) -> tuple[int, int]:

@@ -24,18 +24,16 @@ import pytest
 from netspectra import (
     BAConfig,
     WSConfig,
-    average_runs,
     ba_evolve,
     degree_stats,
-    derive_seed,
     power_iteration,
-    run_correlations,
     snapshot,
     spectral_radius_ratio,
-    summarize_final,
-    ws_initialize,
     ws_rewire,
 )
+from netspectra.experiment import derive_seed
+from netspectra.metrics import average_runs, run_correlations, summarize_final
+from netspectra.ws import ws_initialize
 from netspectra.cli import main
 
 from helpers import erdos_renyi, trace_oracle_spectral_radius

@@ -1,7 +1,11 @@
 import inspect
+import re
+from pathlib import Path
 
 import netspectra
 from netspectra import errors
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -10,6 +14,12 @@ def test_all_is_sorted_unique_and_resolves():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(netspectra, name), name
+
+
+def test_every_root_export_is_named_in_readme():
+    # an export the README does not name is one only the tests use
+    text = README.read_text()
+    assert [name for name in netspectra.__all__ if not re.search(rf"\b{name}\b", text)] == []
 
 
 def test_exported_exceptions_are_the_package_errors():

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from netspectra import (
-    BAConfig,
-    GraphError,
-    ba_evolve,
-    ba_initialize,
-    select_targets,
-)
+from netspectra import BAConfig, GraphError, ba_evolve
+from netspectra.ba import ba_initialize, select_targets
 from netspectra.graph import Graph
 
 from helpers import complete_graph, path_graph, reference_select_targets

@@ -253,8 +253,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["ba", "--total", "2", "--links", "1", "--initial", "3", "--seed", "1"]) == 1
     assert main(["ba", "--total", "10", "--links", "2", "--runs", "0", "--seed", "1"]) == 1
     # sweep-level: unusable values
+    capsys.readouterr()
     assert main(["sweep", "--model", "ba", "--values", "x,y", "--initial", "3",
                  "--total", "10", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --values must be comma-separated numbers, got 'x'\n"
+    )
     assert main(["sweep", "--model", "ws", "--values", "0.5", "--seed", "1"]) == 1
     assert main(["sweep", "--model", "ba", "--values", "2.5", "--initial", "3",
                  "--total", "10", "--seed", "1", "--out", str(tmp_path)]) == 1
@@ -337,12 +341,18 @@ WS_SMALL = ["ws", "--ring", "5", "--beta", "0.5", "--seed", "1", "--max-iteratio
         ["ws", "--ring", "5", "--beta", "0.5", "--seed", "-5"],
         ["sweep", "--model", "ba", "--initial", "3", "--total", "10", "--values", "inf",
          "--seed", "1"],
+        # without --seed: every check runs before a seed is drawn and printed
+        ["ba", "--initial", "1", "--total", "10", "--links", "2"],
+        ["sweep", "--model", "ws", "--values", "0.5"],
+        ["sweep", "--model", "ba", "--values", "2,x", "--initial", "3", "--total", "10"],
+        ["sweep", "--model", "ba", "--values", "2.5", "--initial", "3", "--total", "10"],
     ],
     ids=lambda args: " ".join(args),
 )
 def test_bad_parameters_exit_1_with_one_line(tmp_path, args):
     proc = run_cli(args, tmp_path)
     assert proc.returncode == 1
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: ")

@@ -6,12 +6,12 @@ from netspectra import (
     BAConfig,
     WSConfig,
     ba_evolve,
-    derive_seed,
     run_ba_condition,
     run_sweep,
     run_ws_condition,
     snapshot,
 )
+from netspectra.experiment import derive_seed
 
 
 def test_derive_seed_is_stable():

@@ -5,13 +5,11 @@ from netspectra import (
     EvolutionRecord,
     SweepRow,
     WSConfig,
-    average_runs,
     pearson,
-    run_correlations,
     snapshot,
-    summarize_final,
-    ws_initialize,
 )
+from netspectra.metrics import average_runs, run_correlations, summarize_final
+from netspectra.ws import ws_initialize
 
 from helpers import star_graph
 

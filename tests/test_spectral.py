@@ -15,10 +15,10 @@ from netspectra import (
     power_iteration,
     spectral_radius_ratio,
     ws_evolve,
-    ws_initialize,
     ws_rewire,
 )
 from netspectra.spectral import _DENSE_MAX_NODES, _dense_powers, _iterate, _start_vector
+from netspectra.ws import ws_initialize
 
 from helpers import (
     adjacency_matrix,

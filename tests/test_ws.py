@@ -4,14 +4,12 @@ import pytest
 from netspectra import (
     RewireEvent,
     WSConfig,
-    initial_edges,
     spectral_radius_ratio,
     ws_evolve,
-    ws_initialize,
     ws_rewire,
 )
 from netspectra.graph import degree_stats
-from netspectra.ws import _nth_outside
+from netspectra.ws import _nth_outside, initial_edges, ws_initialize
 
 
 def test_config_validation():
