@@ -8,17 +8,15 @@ even at thousands of nodes. The iterate stays unnormalized between
 multiplies and the radius estimate is the growth of its norm, so an
 iteration is the gather, the bincount and one dot product. At the sizes
 tracked step by step, numpy's per-call overhead, not arithmetic, sets its
-cost. On graphs of at most 128 nodes each solve therefore builds a dense
-power of the matrix once from the arcs by float32 squarings: the eighth
-power when all its entries (walk counts) stay below 2**24, so that float32
-holds them exactly, else the fourth. A step is one matrix-vector product
-that does the work of eight (or four) multiplies for about the cost of one
-sparse multiply. One loop runs every step over a ladder of kernels built
-once per solve: the eighth power, the fourth, then the sparse arcs. It
-steps with each while its power still fits the remaining budget, so the
-fourth power takes over once fewer than eight multiplies are left and the
-sparse arcs once fewer than four are; the stopping rule applies to every
-step alike.
+cost. On graphs of at most 128 nodes a solve therefore steps with a dense
+power of the matrix, built once from the arcs by float32 squarings: the
+eighth power when all its entries (walk counts) stay below 2**24, so that
+float32 holds them exactly, and the budget holds a step of eight; else the
+fourth, if the budget holds a step of four. A step is one matrix-vector
+product that does the work of eight (or four) multiplies for about the cost
+of one sparse multiply. Each solve chooses its kernel once, before its first
+step, and steps with it alone until it converges or another step would pass
+the budget.
 
 Evolution runs solve after every one-to-few edge change, and a change that
 small moves the principal eigenvector little. Each solve on a connected graph
@@ -46,18 +44,15 @@ DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
 
 # Squared iterate norm above which _iterate rescales its unnormalized iterate.
-# One step grows it by at most (radius + shift)**16: below 1e34 for a dense
-# M8 step (at most 128 nodes), (radius + shift)**8 for an M4 step and
-# radius**2 for a sparse one, far below the 1e108 left before float64
-# overflows.
+# A step of p multiplies grows it by at most (radius + shift)**(2p): below
+# 1e34 for an M8 step (at most 128 nodes), far below the 1e108 left before
+# float64 overflows.
 _RESCALE_ABOVE = 1e200
 
 # Node count up to which _iterate steps with a dense power of the matrix.
-# At these sizes numpy's per-call overhead, not arithmetic, sets the cost of
-# a sparse multiply, and one dense matrix-vector product costs about as much
-# as one sparse multiply while doing the work of eight (or four). At most
-# 256, up to which _dense_powers' fourth power is always exact; a dense step
-# grows the squared norm by at most (127 + 1)**16 here, see _RESCALE_ABOVE.
+# At these sizes one dense matrix-vector product costs about as much as one
+# sparse multiply while doing the work of eight (or four). At most 256, up
+# to which _dense_powers' fourth power is always exact.
 _DENSE_MAX_NODES = 128
 
 
@@ -67,7 +62,9 @@ class PowerIterationConfig:
 
     Iteration ends when two consecutive radius estimates (the factors by
     which a multiply grows the iterate's norm) agree to within ``tolerance``,
-    or fails after ``max_iterations`` multiplies.
+    or fails when another step would pass ``max_iterations`` multiplies. A
+    dense step counts 8 or 4 multiplies, so a failing dense solve has taken
+    ``max_iterations - max_iterations % p`` of them, p its step.
     """
 
     tolerance: float = DEFAULT_TOLERANCE
@@ -110,28 +107,35 @@ class SpectralResult:
 
 
 def _dense_powers(
-    src: np.ndarray, dst: np.ndarray, n: int, shift: float
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """M4 = (A + shift*I)**4 and M8 = M4 @ M4 as n x n float32 arrays, A
-    filled from the arc arrays; M8 is None when it is not exact.
+    src: np.ndarray, dst: np.ndarray, n: int, shift: float, budget: int
+) -> tuple[int, np.ndarray]:
+    """The one dense kernel (p, M) of a solve with at least 4 multiplies of
+    budget: M = (A + shift*I)**p as an n x n float64 array, A filled from the
+    arc arrays, with p = 8 when the budget holds a step of 8 and M8 is exact
+    in float32, else p = 4.
 
     With shift 0 or 1 every product and partial sum formed while squaring
-    is a count of walks: a nonnegative integer no larger than the entry it
-    adds up to. float32 holds every integer up to 2**24 and rounds
+    in float32 is a count of walks: a nonnegative integer no larger than the
+    entry it adds up to. float32 holds every integer up to 2**24 and rounds
     monotonically, so the first inexact operation gives at least 2**24, and
-    so does the entry it feeds. A largest entry below 2**24 therefore proves
-    a squaring exact. M4's entries are at most n**3 <= 2**24 for n <= 256,
-    so M4 is always exact; M8 is returned only when its largest entry is
-    below 2**24, and then equals the integer matrix power.
+    so does the entry it feeds. M4's entries are at most n**3 <= 2**24 for
+    n <= 256, so M4 is always exact. M8 = M4 @ M4 = M4.T @ M4 is a Gram
+    matrix, so by Cauchy-Schwarz its largest entry lies on its diagonal. A
+    computed diagonal below 2**24 is therefore exact, the exact M8 lies
+    below 2**24 everywhere, and so every entry is exact too; a computed
+    diagonal entry of 2**24 or more means the exact one is at least that.
     """
     m = np.zeros((n, n), dtype=np.float32)
     m[dst, src] = 1.0
     if shift:
         m.flat[:: n + 1] = shift
     m = m.dot(m)
-    m4 = m.dot(m)
-    m8 = m4.dot(m4)
-    return m4, (m8 if m8.max() < 2**24 else None)
+    m = m.dot(m)
+    if budget >= 8:
+        m8 = m.dot(m)
+        if m8.diagonal().max() < 2**24:
+            return 8, m8.astype(np.float64)
+    return 4, m.astype(np.float64)
 
 
 def _iterate(
@@ -150,62 +154,52 @@ def _iterate(
     iterate is rescaled only when its squared norm passes _RESCALE_ABOVE, and
     the returned vector is normalized.
 
-    One loop steps through a ladder of kernels built once per call, highest
-    power first: on a graph of at most _DENSE_MAX_NODES nodes (and a budget
-    of at least 4) the dense powers M8 = (A + shift*I)**8, when it is exact
-    in float32, and M4, then the sparse arcs. A step with a dense power M =
-    (A + shift*I)**p is one matrix-vector product that counts as p
-    multiplies, and its estimate is (yy_k / yy_{k-1}) ** (1 / (2p)), the
-    geometric mean of the p growth factors; a sparse step is one multiply, a
-    gather and a bincount over the arcs. Each kernel steps while its power
-    still fits the remaining budget, so the count never passes
-    ``max_iterations``: an M8 solve takes M8 steps while at least 8
-    multiplies are left, then one M4 step if at least 4 are, then sparse
-    steps. A dense power is converted to float64 only when its phase starts.
-    The stopping rule, zero-norm guard and rescaling act on the running state
-    whichever kernel took the step.
+    The kernel is chosen once, before the first step: on a graph of at most
+    _DENSE_MAX_NODES nodes with a budget of at least 4, the dense power M =
+    (A + shift*I)**p from _dense_powers; otherwise the sparse arcs. A dense
+    step is one matrix-vector product that counts as p multiplies, and its
+    estimate is (yy_k / yy_{k-1}) ** (1 / (2p)), the geometric mean of the p
+    growth factors; a sparse step is one multiply, a gather and a bincount
+    over the arcs. The loop stops when another step would pass
+    ``max_iterations``, so a failing solve has taken ``max_iterations -
+    max_iterations % p`` multiplies.
     """
     n = len(x)
     budget = config.max_iterations
     tolerance = config.tolerance
-    ladder: list[tuple[int, np.ndarray | None]] = [(1, None)]
+    power, m_dot = 1, None
     if n <= _DENSE_MAX_NODES and budget >= 4:
-        m4, m8 = _dense_powers(src, dst, n, shift)
-        ladder[:0] = [(4, m4)] if m8 is None else [(8, m8), (4, m4)]
+        power, m = _dense_powers(src, dst, n, shift, budget)
+        m_dot = m.dot
     bincount = np.bincount
     xx = x.dot(x)
     prev_norm = -1.0
     residual = math.inf
     iterations = 0
-    for power, m in ladder:
-        last = budget - power  # the largest count this kernel can still step from
-        if iterations > last:
-            continue
-        m_dot = None if m is None else m.astype(np.float64).dot
-        while iterations <= last:
-            if m_dot is None:
-                y = bincount(dst, x[src], n)
-                if shift:
-                    y += shift * x
-            else:
-                y = m_dot(x)
-            iterations += power
-            yy = y.dot(y)
-            if yy == 0.0:
-                # A annihilated the iterate: the graph has no edges, or the
-                # start has no weight on any endpoint of one (power_iteration
-                # then restarts from all-ones).
-                return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
-            norm = math.sqrt(yy / xx) if m_dot is None else (yy / xx) ** (0.5 / power)
-            if prev_norm >= 0.0:
-                residual = abs(norm - prev_norm)
-                if residual <= tolerance:
-                    return norm, y / math.sqrt(yy), iterations, True, residual
-            prev_norm = norm
-            if yy > _RESCALE_ABOVE:
-                y /= math.sqrt(yy)
-                yy = 1.0
-            x, xx = y, yy
+    while iterations <= budget - power:
+        if m_dot is None:
+            y = bincount(dst, x[src], n)
+            if shift:
+                y += shift * x
+        else:
+            y = m_dot(x)
+        iterations += power
+        yy = y.dot(y)
+        if yy == 0.0:
+            # A annihilated the iterate: the graph has no edges, or the
+            # start has no weight on any endpoint of one (power_iteration
+            # then restarts from all-ones).
+            return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
+        norm = math.sqrt(yy / xx) if m_dot is None else (yy / xx) ** (0.5 / power)
+        if prev_norm >= 0.0:
+            residual = abs(norm - prev_norm)
+            if residual <= tolerance:
+                return norm, y / math.sqrt(yy), iterations, True, residual
+        prev_norm = norm
+        if yy > _RESCALE_ABOVE:
+            y /= math.sqrt(yy)
+            yy = 1.0
+        x, xx = y, yy
     return prev_norm, x / math.sqrt(xx), iterations, False, residual
 
 

@@ -49,10 +49,6 @@ class RewireEvent:
     original_edge: tuple[int, int]
     new_edge: tuple[int, int] | None
 
-    @property
-    def skipped(self) -> bool:
-        return self.new_edge is None
-
 
 def _ordered(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)

@@ -135,42 +135,36 @@ def reference_iterate(
     max_iterations: int,
     shift: float,
 ) -> tuple[float, np.ndarray, int, bool, float]:
-    """An independent oracle for ``spectral._iterate``'s kernel ladder: the
-    same one loop, but choosing its kernel afresh at every step. Each step
-    multiplies by M8 = (A + shift*I)**8 (at most 128 nodes, every entry of
-    M8 below 2**24, at least 8 multiplies of budget left), by M4 = (A +
-    shift*I)**4 (at most 128 nodes, at least 4 left) or once by the sparse
-    arcs. The dense powers are integer matrix powers taken in int64, not the
-    library's float32 squarings, so a bit-identical result also checks that
-    those squarings are exact."""
+    """An independent oracle for ``spectral._iterate``'s one-kernel loop.
+    The kernel is chosen once: M8 = (A + shift*I)**8 (at most 128 nodes, a
+    budget of at least 8, every entry of M8 below 2**24), else M4 = (A +
+    shift*I)**4 (at most 128 nodes, a budget of at least 4), else single
+    multiplies by the sparse arcs; steps continue while one more fits the
+    budget. The dense powers are integer matrix powers taken in int64, not
+    the library's float32 squarings, and M8's exactness is read from all of
+    its entries, not its diagonal, so a bit-identical result also checks
+    that those squarings and that decision are exact."""
     n = len(x)
-    m4 = m8 = None
+    step, m = 1, None
     if n <= 128 and max_iterations >= 4:
         a = np.zeros((n, n), dtype=np.int64)
         a[dst, src] = 1
         a[np.diag_indices(n)] = int(shift)
         a4 = np.linalg.matrix_power(a, 4)
         a8 = a4 @ a4
-        m4 = a4.astype(np.float64)
-        if a8.max() < 2**24:
-            m8 = a8.astype(np.float64)
+        step, m = (8, a8) if max_iterations >= 8 and a8.max() < 2**24 else (4, a4)
+        m = m.astype(np.float64)
     xx = x.dot(x)
     prev_norm = -1.0
     residual = math.inf
     iterations = 0
-    while iterations < max_iterations:
-        left = max_iterations - iterations
-        if m8 is not None and left >= 8:
-            y = m8 @ x
-            step = 8
-        elif m4 is not None and left >= 4:
-            y = m4 @ x
-            step = 4
-        else:
+    while iterations + step <= max_iterations:
+        if m is None:
             y = np.bincount(dst, x[src], n)
             if shift:
                 y += shift * x
-            step = 1
+        else:
+            y = m @ x
         iterations += step
         yy = y.dot(y)
         if yy == 0.0:

@@ -102,7 +102,7 @@ def ws_series_checked(config, runs, master_seed):
             checked += 1
 
         events = ws_rewire(g, config, rng, observe)
-        assert checked == sum(1 for e in events if not e.skipped)
+        assert checked == sum(1 for e in events if e.new_edge is not None)
         series.append(ts)
         checked_counts.append(checked)
     return series, checked_counts

@@ -376,21 +376,43 @@ def test_radius_on_either_side_of_dense_cutoff(n):
 @pytest.mark.parametrize("max_iterations", range(1, 18))
 def test_dense_steps_never_overshoot_budget(max_iterations):
     # Both the plain and the shifted solve need more than 17 multiplies
-    # here, so every budget fails, spent on M8 steps, at most one M4 step
-    # and a remainder under 4 of sparse steps.
+    # here, so every budget fails. Walk counts stay below 6**8 < 2**24, so
+    # the solve steps with M8 from a budget of 8, M4 from 4 and single
+    # sparse multiplies below that, and stops when another step would pass
+    # the budget.
     config = PowerIterationConfig(max_iterations=max_iterations)
     with pytest.raises(NotConvergedError) as exc:
         power_iteration(nearly_bipartite_graph(), config)
     partial = exc.value.result
-    assert partial.iterations == max_iterations
+    step = 8 if max_iterations >= 8 else 4 if max_iterations >= 4 else 1
+    assert partial.iterations <= max_iterations
+    assert partial.iterations == max_iterations - max_iterations % step
     assert np.linalg.norm(partial.principal_eigenvector) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, budget, iterations",
+    [("K10", 12, 8), ("K10", 15, 8), ("dense-128", 11, 8), ("sparse-129", 11, 11)],
+)
+def test_a_solve_never_switches_kernels(name, budget, iterations):
+    # K10 steps with M8 and the dense ER graph on 128 nodes with M4; neither
+    # takes a smaller step to spend what is left of its budget. Above 128
+    # nodes single sparse multiplies count up to the budget.
+    g = {
+        "K10": lambda: complete_graph(10),
+        "dense-128": lambda: erdos_renyi(128, 0.9, np.random.default_rng(1)),
+        "sparse-129": lambda: joined_cliques(65, 64),
+    }[name]()
+    with pytest.raises(NotConvergedError) as exc:
+        power_iteration(g, PowerIterationConfig(max_iterations=budget))
+    assert exc.value.result.iterations == iterations
 
 
 def dense_step(g, shift):
     """Multiplies per dense step of a solve on ``g`` with a budget of at
     least 8: 8 when (A + shift*I)**8 is exact in float32, else 4."""
     src, dst = g.arcs()
-    return 4 if _dense_powers(src, dst, g.node_count, shift)[1] is None else 8
+    return _dense_powers(src, dst, g.node_count, shift, 8)[0]
 
 
 def integer_power(g, shift, p):
@@ -405,10 +427,9 @@ def test_dense_fourth_power_is_exact_at_the_cutoff(shift):
     n = _DENSE_MAX_NODES
     g = complete_graph(n)
     src, dst = g.arcs()
-    m4, m8 = _dense_powers(src, dst, n, shift)
-    assert m4.dtype == np.float32
+    power, m4 = _dense_powers(src, dst, n, shift, 8)
+    assert power == 4
     assert np.array_equal(m4, integer_power(g, shift, 4))
-    assert m8 is None
 
 
 # Complete graphs on either side of the float32 limit for M8: K10 has A**8
@@ -427,16 +448,13 @@ EIGHTH_POWER_MAX = {
 def test_dense_eighth_power_only_when_exact(n, shift):
     g = complete_graph(n)
     src, dst = g.arcs()
-    m4, m8 = _dense_powers(src, dst, n, shift)
+    power, m4 = _dense_powers(src, dst, n, shift, 7)  # no room for a step of 8
+    assert power == 4 and np.array_equal(m4, integer_power(g, shift, 4))
+    power, m = _dense_powers(src, dst, n, shift, 8)
     expected = integer_power(g, shift, 8)
     assert expected.max() == EIGHTH_POWER_MAX[n, shift]
-    assert np.array_equal(m4, integer_power(g, shift, 4))
-    if expected.max() < 2**24:
-        assert np.array_equal(m8, expected)
-        power = 8
-    else:
-        assert m8 is None
-        power = 4
+    assert power == (8 if expected.max() < 2**24 else 4)
+    assert np.array_equal(m, integer_power(g, shift, power))
     # From a non-constant start a budget of 8 is one M8 step, which has no
     # earlier estimate to converge against, or two M4 steps, which do.
     x = np.random.default_rng(34).random(n) + 0.5
@@ -467,20 +485,22 @@ def _eighth_power_cases():
 
 @pytest.mark.parametrize("shift", [0.0, 1.0])
 def test_dense_eighth_power_decision_matches_integer_rule(shift):
-    # M8 is kept exactly when the int64 eighth power stays below 2**24. The
-    # cases reject M8 both where M4's diagonal alone rules it out (M8[i, i]
-    # is at least M4[i, i]**2) and where only the full eighth power does.
+    # M8 is kept exactly when the int64 eighth power stays below 2**24, a
+    # maximum that lies on its diagonal (a Gram matrix). The cases reject M8
+    # both where M4's diagonal alone rules it out (M8[i, i] is at least
+    # M4[i, i]**2) and where only the full eighth power does.
     outcomes = {"kept": 0, "ruled out by the diagonal": 0, "ruled out by M8": 0}
     for g in _eighth_power_cases():
         src, dst = g.arcs()
-        m4, m8 = _dense_powers(src, dst, g.node_count, shift)
+        power, m = _dense_powers(src, dst, g.node_count, shift, 8)
         expected = integer_power(g, shift, 8)
+        assert expected.max() == expected.diagonal().max()
         if expected.max() < 2**24:
-            assert np.array_equal(m8, expected)
+            assert power == 8 and np.array_equal(m, expected)
             outcomes["kept"] += 1
         else:
-            assert m8 is None
-            early = m4.diagonal().max() >= 2**12
+            assert power == 4
+            early = integer_power(g, shift, 4).diagonal().max() >= 2**12
             outcomes["ruled out by the diagonal" if early else "ruled out by M8"] += 1
     assert min(outcomes.values()) >= 1, outcomes
 
@@ -567,10 +587,11 @@ def test_warm_start_with_no_weight_on_any_edge_restarts_cold(n, moved):
 
 
 # (graph, start, max_iterations, shift) cases for the bit-identity guard:
-# dense and sparse graphs, warm (non-constant) starts, budgets that hand a
-# dense solve from M8 to M4 to sparse steps, the shifted retry, rescaling on
-# both kernels (M4 steps on rescaled-dense, whose M8 is not exact) and an
-# edgeless graph's zero-norm guard.
+# dense and sparse graphs, warm (non-constant) starts, the shifted retry,
+# rescaling on both kernels (M4 steps on rescaled-dense, whose M8 is not
+# exact) and an edgeless graph's zero-norm guard. The handover-* cases fail
+# on budgets of 4 to 17, around one or two dense steps, where the kernel
+# depends on the budget and the solve stops once another step would pass it.
 def _iterate_cases():
     rng = np.random.default_rng(31)
     ws = ws_evolve(WSConfig(50, 0.5), np.random.default_rng(32))

@@ -84,13 +84,26 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path):
     ]
 
 
-def test_code_lines_defaults_to_the_package_sources(capsys):
+def package_report(capsys) -> list[str]:
+    """The lines ``tools/code_lines.py`` prints for the package sources."""
     assert code_lines_tool.main(["code_lines.py"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    return capsys.readouterr().out.splitlines()
+
+
+def count(line: str) -> int:
+    return int(line.split()[0].replace(",", ""))
+
+
+def test_code_lines_defaults_to_the_package_sources(capsys):
+    lines = package_report(capsys)
     assert any(line.endswith("  netspectra/spectral.py") for line in lines)
     assert lines[-1].endswith("  total")
-    total = int(lines[-1].split()[0].replace(",", ""))
-    assert total == sum(int(line.split()[0].replace(",", "")) for line in lines[:-1])
+    assert count(lines[-1]) == sum(count(line) for line in lines[:-1])
+
+
+def test_package_sources_stay_within_1000_code_lines(capsys):
+    # ROADMAP aim 2: the same numbers from the least code
+    assert count(package_report(capsys)[-1]) <= 1_000
 
 
 def test_src_imports_only_numpy_and_stdlib():

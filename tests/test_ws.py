@@ -68,7 +68,7 @@ def test_full_probability_rewires_every_link():
     g = ws_initialize(cfg)
     events = ws_rewire(g, cfg, np.random.default_rng(1))
     assert len(events) == 200
-    assert not any(e.skipped for e in events)
+    assert all(e.new_edge is not None for e in events)
     originals = [e.original_edge for e in events]
     assert originals == initial_edges(50)
     # the kept endpoint is the lower end of the original link
@@ -89,7 +89,7 @@ def test_rewire_mutates_graph_at_each_event():
         seen.append((step, set(graph.edges())))
 
     events = ws_rewire(g, cfg, np.random.default_rng(7), check)
-    completed = [e for e in events if not e.skipped]
+    completed = [e for e in events if e.new_edge is not None]
     assert completed
     assert [step for step, _ in seen] == list(range(len(completed) + 1))
     # at call k the graph is call k-1's with the k-th rewire applied
@@ -104,10 +104,9 @@ def test_candidate_exhaustion_recorded_as_skip():
     cfg = WSConfig(nodes_per_ring=3, rewiring_probability=1.0)
     g = ws_initialize(cfg)
     events = ws_rewire(g, cfg, np.random.default_rng(0))
-    skipped = [e for e in events if e.skipped]
+    skipped = [e for e in events if e.new_edge is None]
     assert skipped
     for e in skipped:
-        assert e.new_edge is None
         assert g.has_edge(*e.original_edge)
     assert g.edge_count == 12
     assert sum(g.degrees()) == 24
@@ -122,7 +121,7 @@ def test_observer_not_called_for_skips():
         calls.append((step, set(graph.edges())))
 
     events = ws_rewire(g, cfg, np.random.default_rng(0), record)
-    completed = [e for e in events if not e.skipped]
+    completed = [e for e in events if e.new_edge is not None]
     assert [step for step, _ in calls] == list(range(1, len(completed) + 1))
     assert len(calls) < len(events)
     # each call sees the graph just after its own completed rewire
@@ -148,13 +147,6 @@ def test_rewire_rejects_wrong_sized_graph():
         ws_rewire(g, cfg, np.random.default_rng(0))
 
 
-def test_event_skipped_property():
-    moved = RewireEvent(original_edge=(0, 1), new_edge=(0, 5))
-    stuck = RewireEvent(original_edge=(0, 1), new_edge=None)
-    assert not moved.skipped
-    assert stuck.skipped
-
-
 def test_evolve_reports_lattice_then_each_completed_rewire():
     # seed 0 on the 6-node lattice skips some events; skips are not steps
     cfg = WSConfig(nodes_per_ring=3, rewiring_probability=1.0)
@@ -164,7 +156,7 @@ def test_evolve_reports_lattice_then_each_completed_rewire():
     )
     lattice = ws_initialize(cfg)
     events = ws_rewire(lattice, cfg, np.random.default_rng(0))
-    completed = [e for e in events if not e.skipped]
+    completed = [e for e in events if e.new_edge is not None]
     assert [step for step, _ in seen] == list(range(len(completed) + 1))
     assert seen[0][1] == sorted(initial_edges(3))
     assert seen[-1][1] == list(g.edges()) == list(lattice.edges())
