@@ -51,10 +51,9 @@ def ba_initialize(initial_nodes: int, rng: np.random.Generator) -> Graph:
 
     Pairings are drawn in node order. A draw that duplicates an existing edge
     is dropped rather than redrawn, so the edge count lands between
-    ceil(initial_nodes / 2) and initial_nodes.
+    ceil(initial_nodes / 2) and initial_nodes. ``BAConfig`` checks that
+    there are at least two nodes to pair.
     """
-    if initial_nodes < 2:
-        raise ValueError(f"seed wiring needs at least 2 nodes, got {initial_nodes}")
     g = Graph(initial_nodes)
     for i in range(initial_nodes):
         j = int(rng.integers(initial_nodes - 1))

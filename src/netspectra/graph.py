@@ -7,9 +7,9 @@ membership, neighbours, the sorted edge list and the search that settles
 whether the edges form one component come from one private map per node,
 from neighbour to edge number. The matrix the spectral solver multiplies by
 comes from the (source, destination) arc arrays, which hold both directions
-of every edge. Degrees come from a degree array. The graph also keeps the sum
-of squared degrees and caches the connectivity answer, searching only when a
-mutation leaves it in doubt.
+of every edge. Degrees, and the degree moments of ``degree_stats``, come from
+a degree array. The graph also caches the connectivity answer, searching only
+when a mutation leaves it in doubt.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Graph:
     Adding an edge appends its pair; removing one moves the last pair into
     the freed slots and renumbers that edge in both endpoints' maps, so arc
     order is insertion order only until the first removal. The degree array
-    answers degrees.
+    answers degrees, and ``degree_stats`` takes the degree moments from it.
 
     Whether at most one component holds edges is cached as True, False or
     unknown (None). Each mutation updates the flag from its endpoints' new
@@ -57,9 +57,6 @@ class Graph:
     nodes may merge two. A removal that isolates an endpoint, or whose
     endpoints still share a neighbour, splits nothing; any other may split
     one. ``connected`` settles an unknown flag by one search.
-
-    Every mutation also updates the sum of squared degrees by the change it
-    makes, so ``degree_stats`` reads it without a pass over the degrees.
 
     ``warm_vector`` is the last converged power-iteration iterate on this
     graph while it was connected, or None (a new graph has none), and
@@ -75,7 +72,6 @@ class Graph:
         "_dst",
         "_deg",
         "_connected",
-        "_square_sum",
         "warm_vector",
         "warm_radius",
     )
@@ -90,7 +86,6 @@ class Graph:
         self._dst = np.zeros(_MIN_CAPACITY, dtype=np.intp)
         self._deg = np.zeros(max(node_count, _MIN_CAPACITY), dtype=np.int64)
         self._connected: bool | None = True  # at most one component holds edges
-        self._square_sum = 0  # sum of squared degrees
         self.warm_vector: np.ndarray | None = None
         self.warm_radius = 0.0
 
@@ -128,10 +123,8 @@ class Graph:
         if v in nu:
             raise GraphError(f"duplicate edge {u}-{v}")
         i = nu[v] = nv[u] = self._edge_count
-        # a degree d -> d + 1 adds 2d + 1 to the sum of squares
         du = len(nu)
         dv = len(nv)
-        self._square_sum += 2 * (du + dv) - 2
         if du == 1 and dv == 1:
             self._connected = i == 0
         elif du > 1 and dv > 1 and not self._connected:
@@ -155,10 +148,8 @@ class Graph:
         if i is None:
             raise GraphError(f"edge {u}-{v} not present")
         del nv[u]
-        # a degree d + 1 -> d takes 2d + 1 from the sum of squares
         du = len(nu)
         dv = len(nv)
-        self._square_sum -= 2 * (du + dv) + 2
         last = self._edge_count - 1
         if i != last:
             a = int(self._src[2 * last])
@@ -183,10 +174,6 @@ class Graph:
         """Neighbours of ``u`` in ascending order, as a new list."""
         self._check_node(u)
         return sorted(self._adj[u])
-
-    def degree(self, u: int) -> int:
-        self._check_node(u)
-        return int(self._deg[u])
 
     def degrees(self) -> list[int]:
         """Degree sequence indexed by node ID."""
@@ -260,16 +247,16 @@ def degree_stats(g: Graph) -> DegreeStats:
 
     The variance comes from exact integer moments, (n*S2 - S1**2) / n**2 with
     S1 and S2 the sums of degrees and squared degrees, so it is correctly
-    rounded and independent of node order. Both sums are kept by the graph as
-    it mutates (S1 is twice the edge count), so only the extremes take a pass
-    over the degrees.
+    rounded and independent of node order. S1 is twice the edge count and S2
+    the int64 dot product of the degree array with itself, exact under the
+    _MAX_NODES cap: n * k_max**2 < 10**18 < 2**63.
     """
     n = g.node_count
     if n == 0:
         raise GraphError("degree statistics need at least one node")
     degs = g.degree_array()
     s1 = 2 * g.edge_count
-    s2 = g._square_sum
+    s2 = int(degs.dot(degs))
     variance = (n * s2 - s1 * s1) / (n * n)
     return DegreeStats(
         k_min=int(degs.min()), k_max=int(degs.max()), k_avg=s1 / n, k_sd=math.sqrt(variance)

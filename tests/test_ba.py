@@ -37,6 +37,9 @@ SEED_WIRING_OUTCOMES = {
 def test_config_validation():
     with pytest.raises(ValueError):
         BAConfig(initial_nodes=0, total_nodes=10, links_per_node=1)
+    # a single node has no partner for the seed wiring
+    with pytest.raises(ValueError, match=r"initial_nodes must be >= 2 for the seed wiring, got 1"):
+        BAConfig(initial_nodes=1, total_nodes=10, links_per_node=1)
     with pytest.raises(ValueError):
         BAConfig(initial_nodes=5, total_nodes=4, links_per_node=1)
     with pytest.raises(ValueError):
@@ -52,11 +55,6 @@ def test_seed_wiring_all_outcomes():
     for draws, expected in SEED_WIRING_OUTCOMES.items():
         g = ba_initialize(3, ScriptedRng(draws))
         assert set(g.edges()) == expected, draws
-
-
-def test_seed_wiring_rejects_single_node():
-    with pytest.raises(ValueError, match="seed wiring needs at least 2 nodes"):
-        ba_initialize(1, np.random.default_rng(0))
 
 
 def test_seed_wiring_properties():
@@ -137,7 +135,7 @@ def test_evolve_new_node_degree_is_frozen_link_count():
     degrees_at_arrival = {}
 
     def observe(step, graph):
-        degrees_at_arrival[step] = graph.degree(step)
+        degrees_at_arrival[step] = int(graph.degree_array()[step])
 
     ba_evolve(cfg, np.random.default_rng(3), observe)
     # node t finds t existing nodes; it links to all of them until there are

@@ -100,7 +100,7 @@ def test_node_out_of_range():
     with pytest.raises(GraphError, match="node 3 out of range"):
         g.add_edge(0, 3)
     with pytest.raises(GraphError, match="node -1 out of range"):
-        g.degree(-1)
+        g.neighbors(-1)
 
 
 def test_remove_edge():
@@ -352,16 +352,16 @@ def test_random_operation_sequence_keeps_invariants():
 
 
 def _reference_degree_stats(degs):
-    # the two-pass population statistics the incremental moments replace
+    # the two-pass population statistics the integer moments replace
     n = len(degs)
     k_avg = sum(degs) / n
     k_sd = math.sqrt(math.fsum((d - k_avg) ** 2 for d in degs) / n)
     return min(degs), max(degs), k_avg, k_sd
 
 
-def _assert_square_sum_matches_recount(g):
-    # The sum of squared degrees the graph keeps, read through degree_stats
-    # (exactly), against a recount from the neighbor lists.
+def _assert_k_sd_is_exact(g):
+    # degree_stats's SD, from the degree array's integer moments, against
+    # the exactly rounded SD of the moments recounted from the neighbor lists.
     degs = [len(g.neighbors(u)) for u in range(g.node_count)]
     n, s1, s2 = len(degs), sum(degs), sum(d * d for d in degs)
     assert degree_stats(g).k_sd == math.sqrt((n * s2 - s1 * s1) / (n * n))
@@ -415,7 +415,7 @@ def test_incremental_arrays_track_random_mutations():
         assert (stats.k_min, stats.k_max) == (k_min, k_max)
         assert stats.k_avg == pytest.approx(k_avg, abs=1e-12)
         assert stats.k_sd == pytest.approx(k_sd, abs=1e-12)
-        _assert_square_sum_matches_recount(g)
+        _assert_k_sd_is_exact(g)
         if ask.random() < 0.2:
             searched += g._connected is None
             cached += g._connected is False
