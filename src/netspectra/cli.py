@@ -34,6 +34,7 @@ from .spectral import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     PowerIterationConfig,
+    lambda_ratio,
     power_iteration,
 )
 from .ws import WSConfig
@@ -195,12 +196,8 @@ def cmd_analyze(args: argparse.Namespace, power: PowerIterationConfig) -> int:
         print(f"residual: {_fmt(best.residual)}")
         raise
 
-    if stats.k_min == stats.k_max:
-        ratio = 1.0  # regular graph: radius equals the common degree
-    else:
-        ratio = result.spectral_radius / stats.k_avg
     print(f"spectral radius: {_fmt(result.spectral_radius)}")
-    print(f"lambda ratio: {_fmt(ratio)}")
+    print(f"lambda ratio: {_fmt(lambda_ratio(stats, lambda: result))}")
     print(f"iterations: {result.iterations}")
     print(f"residual: {_fmt(result.residual)}")
     print(f"shifted: {'yes' if result.shifted else 'no'}")

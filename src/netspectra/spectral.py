@@ -33,7 +33,8 @@ nodes do not count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -144,15 +145,16 @@ def _iterate(
     x: np.ndarray,
     config: PowerIterationConfig,
     shift: float,
-) -> tuple[float, np.ndarray, int, bool, float]:
-    """Run the norm-convergence loop for A + shift*I from ``x``; return raw results.
+) -> SpectralResult:
+    """Run the norm-convergence loop for A + shift*I from ``x``.
 
     The iterate is not normalized between multiplies: with yy_k the squared
     norm of the k-th product (yy_0 that of ``x``), the radius estimate
     sqrt(yy_k / yy_{k-1}) is ``||A u||`` for the unit vector u along the
     previous iterate, so the stopping rule is that of a normalized loop. The
     iterate is rescaled only when its squared norm passes _RESCALE_ABOVE, and
-    the returned vector is normalized.
+    the result's vector is normalized. The result is that of A + shift*I: it
+    is never marked shifted, and its radius includes the shift.
 
     The kernel is chosen once, before the first step: on a graph of at most
     _DENSE_MAX_NODES nodes with a budget of at least 4, the dense power M =
@@ -189,18 +191,18 @@ def _iterate(
             # A annihilated the iterate: the graph has no edges, or the
             # start has no weight on any endpoint of one (power_iteration
             # then restarts from all-ones).
-            return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
+            return SpectralResult(0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0)
         norm = math.sqrt(yy / xx) if m_dot is None else (yy / xx) ** (0.5 / power)
         if prev_norm >= 0.0:
             residual = abs(norm - prev_norm)
             if residual <= tolerance:
-                return norm, y / math.sqrt(yy), iterations, True, residual
+                return SpectralResult(norm, y / math.sqrt(yy), iterations, True, residual)
         prev_norm = norm
         if yy > _RESCALE_ABOVE:
             y /= math.sqrt(yy)
             yy = 1.0
         x, xx = y, yy
-    return prev_norm, x / math.sqrt(xx), iterations, False, residual
+    return SpectralResult(prev_norm, x / math.sqrt(xx), iterations, False, residual)
 
 
 def _start_vector(g: Graph, connected: bool) -> np.ndarray:
@@ -266,26 +268,39 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
     connected = g.connected()
     x0 = _start_vector(g, connected)
 
-    radius, vec, iters, ok, residual = _iterate(src, dst, x0, config, shift=0.0)
-    if radius == 0.0:
+    result = _iterate(src, dst, x0, config, shift=0.0)
+    if result.spectral_radius == 0.0:
         # A warm start with no weight on any edge's endpoints: the edges
         # moved to nodes the stored iterate is zero on (isolated at its solve).
         x0 = np.ones(n, dtype=np.float64)
-        radius, vec, iters, ok, residual = _iterate(src, dst, x0, config, shift=0.0)
-    shifted = not ok
-    if shifted:
-        plain = SpectralResult(radius, vec, iters, False, residual)
-        radius, vec, iters, ok, residual = _iterate(src, dst, x0, config, shift=1.0)
-        if not ok:
+        result = _iterate(src, dst, x0, config, shift=0.0)
+    if not result.converged:
+        retry = _iterate(src, dst, x0, config, shift=1.0)
+        if not retry.converged:
             raise NotConvergedError(
                 f"power iteration did not converge within {config.max_iterations} "
-                f"iterations (last residual {plain.residual:.3e})",
-                result=plain,
+                f"iterations (last residual {result.residual:.3e})",
+                result=result,
             )
-        radius -= 1.0
-    g.warm_vector = vec.copy() if connected else None
-    g.warm_radius = radius
-    return SpectralResult(radius, vec, iters, True, residual, shifted)
+        result = replace(retry, spectral_radius=retry.spectral_radius - 1.0, shifted=True)
+    g.warm_vector = result.principal_eigenvector.copy() if connected else None
+    g.warm_radius = result.spectral_radius
+    return result
+
+
+def lambda_ratio(stats: DegreeStats, solve: Callable[[], SpectralResult]) -> float:
+    """The spectral radius over the mean degree of a graph with degree
+    statistics ``stats``, the radius taken from ``solve()``.
+
+    Raises GraphError for a graph with no edges. A regular graph with edges
+    has exactly 1.0, its radius being its common degree, and ``solve`` is
+    called only for the other graphs.
+    """
+    if stats.k_avg == 0:
+        raise GraphError("spectral radius ratio undefined: graph has no edges")
+    if stats.k_min == stats.k_max:
+        return 1.0
+    return solve().spectral_radius / stats.k_avg
 
 
 def spectral_radius_ratio(
@@ -293,18 +308,12 @@ def spectral_radius_ratio(
     config: PowerIterationConfig | None = None,
     stats: DegreeStats | None = None,
 ) -> float:
-    """Spectral radius divided by mean degree.
+    """Spectral radius divided by mean degree, by ``lambda_ratio``'s rule.
 
     ``stats`` are the degree statistics of ``g`` as it stands, when the caller
-    has them already. For a regular graph with edges the adjacency radius
-    equals the common degree, so the ratio is returned as exactly 1.0 without
-    iterating.
+    has them already. A regular graph with edges is not solved: its ratio is
+    exactly 1.0.
     """
     if stats is None:
         stats = degree_stats(g)
-    if stats.k_avg == 0:
-        raise GraphError("spectral radius ratio undefined: graph has no edges")
-    if stats.k_min == stats.k_max:
-        return 1.0
-    result = power_iteration(g, config)
-    return result.spectral_radius / stats.k_avg
+    return lambda_ratio(stats, lambda: power_iteration(g, config))

@@ -97,12 +97,12 @@ def ws_rewire(
     Each initial link draws one uniform variate; the link is rewired when the
     draw is at or below the rewiring probability. The replacement endpoint is
     uniform over nodes that are neither the kept endpoint nor any of its
-    current neighbors. Candidate exhaustion is recorded as a skipped event
-    instead of an error.
+    current neighbors. Candidate exhaustion is recorded as an event whose
+    ``new_edge`` is None instead of an error.
 
     Returns the events in order. ``observer(step, graph)`` runs after each
-    completed rewire (not after skips) with the mutated graph, step k after
-    the k-th completed rewire. At probability zero the sweep returns
+    completed rewire (not after such an event) with the mutated graph, step
+    k after the k-th completed rewire. At probability zero the sweep returns
     immediately and consumes no randomness, so the lattice is untouched by
     construction rather than by chance.
     """
@@ -142,8 +142,8 @@ def ws_evolve(
     """Build a lattice, apply the rewiring sweep to it and return it.
 
     ``observer`` sees the pristine lattice as step 0, then ``ws_rewire``
-    passes it the graph as step k after the k-th completed rewire; skipped
-    events are not steps.
+    passes it the graph as step k after the k-th completed rewire; an event
+    whose ``new_edge`` is None is not a step.
     """
     g = ws_initialize(config)
     if observer is not None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from netspectra import Graph, GraphError, write_edge_list
+from netspectra import Graph, GraphError, parse_edge_list, snapshot, write_edge_list
 from netspectra import cli
 from netspectra.cli import main
 
@@ -27,6 +27,12 @@ def get_field(out, label):
     raise AssertionError(f"no line {label!r} in output:\n{out}")
 
 
+def csv_ratio(path):
+    """The lambda_ratio cell a time series CSV would hold for the graph in
+    ``path``: the shortest decimal that round-trips the snapshot's ratio."""
+    return repr(float(snapshot(parse_edge_list(path.read_text()), 0).lambda_ratio))
+
+
 def test_analyze_star(tmp_path, capsys):
     path = write_graph(tmp_path, star_graph(5))
     assert main(["analyze", str(path)]) == 0
@@ -37,6 +43,7 @@ def test_analyze_star(tmp_path, capsys):
     assert float(get_field(out, "lambda ratio")) == pytest.approx(1.25, abs=1e-8)
     assert float(get_field(out, "degree cv")) == pytest.approx(0.75)
     assert get_field(out, "shifted") == "no"
+    assert get_field(out, "lambda ratio") == csv_ratio(path)
 
 
 def test_analyze_regular_graph_reports_unit_ratio(tmp_path, capsys):
@@ -46,7 +53,7 @@ def test_analyze_regular_graph_reports_unit_ratio(tmp_path, capsys):
     path = write_graph(tmp_path, g)
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
-    assert get_field(out, "lambda ratio") == "1.0"
+    assert get_field(out, "lambda ratio") == "1.0" == csv_ratio(path)
 
 
 def test_analyze_missing_file(tmp_path, capsys):

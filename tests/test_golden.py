@@ -9,10 +9,17 @@ one.
 """
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netspectra
 from netspectra import BAConfig, ba_evolve, write_edge_list
 from netspectra.cli import main
 
@@ -80,3 +87,101 @@ def test_analyze_output_matches_recorded_digest(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_STDOUT, out
+
+
+# The digests hold for the BLAS kernel this host loads. OpenBLAS built with
+# DYNAMIC_ARCH picks its kernel for the CPU at load time, and another kernel
+# may round a float64 matrix-vector product, and so a solved radius, in its
+# last bits. This test measures that spread instead of gating bytes: each
+# listed kernel reruns the GOLDEN commands in a child process, every field
+# that no radius feeds must come out exactly as on the default kernel, and
+# the three that do within 1e-14.
+KERNELS = ("Prescott", "Haswell")
+RADIUS_FIELDS = {"lambda_ratio", "mean_lambda_ratio", "mean_correlation"}
+
+_RUN_COMMANDS = """
+import sys
+from netspectra.cli import main
+for i, command in enumerate(sys.argv[2:]):
+    assert main([*command.split(), "--out", f"{sys.argv[1]}/{i}"]) == 0
+"""
+
+
+def _kernel_skip_reason(kernel):
+    """Why OPENBLAS_CORETYPE cannot select ``kernel`` here, or None."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return "OpenBLAS kernel names are x86-64's"
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        return "numpy does not report its BLAS"
+    if "openblas" not in config["Build Dependencies"]["blas"]["name"].lower():
+        return "numpy's BLAS is not OpenBLAS"
+    found = set(config["SIMD Extensions"]["found"])
+    if kernel == "Haswell" and not found & {"AVX2", "X86_V3"}:
+        return "the CPU lacks AVX2"
+    return None
+
+
+def _run_commands(out, kernel):
+    """Run every GOLDEN command in one child process on OpenBLAS ``kernel``
+    (None: the one it picks itself), writing into numbered subdirectories."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    src = str(Path(netspectra.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, str(out), *sorted(GOLDEN)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+def _fields(path):
+    """(name, value) of every CSV cell or JSON scalar in ``path``, in file
+    order; a JSON list's items take the name of the key that holds it."""
+    if path.suffix == ".csv":
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        return [pair for row in rows for pair in zip(header, row)]
+    pairs = []
+
+    def walk(name, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(key, item)
+        elif isinstance(value, list):
+            for item in value:
+                walk(name, item)
+        else:
+            pairs.append((name, value))
+
+    walk(None, json.loads(path.read_text()))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def default_kernel_outputs(tmp_path_factory):
+    return _run_commands(tmp_path_factory.mktemp("default"), None)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_other_blas_kernels_move_only_radius_fields(tmp_path, request, kernel):
+    reason = _kernel_skip_reason(kernel)
+    if reason:
+        pytest.skip(reason)
+    base_dir = request.getfixturevalue("default_kernel_outputs")
+    _run_commands(tmp_path, kernel)
+    files = sorted(p.relative_to(base_dir) for p in base_dir.rglob("*.*"))
+    assert files == sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.*"))
+    assert len(files) == 2 * len(GOLDEN)
+    for name in files:
+        base, other = _fields(base_dir / name), _fields(tmp_path / name)
+        assert [field for field, _ in base] == [field for field, _ in other], name
+        for (field, a), (_, b) in zip(base, other):
+            if field in RADIUS_FIELDS and a not in (None, ""):
+                assert abs(float(a) - float(b)) <= 1e-14, (name, field, a, b)
+            else:
+                assert a == b, (name, field, a, b)

@@ -458,16 +458,12 @@ def test_dense_eighth_power_only_when_exact(n, shift):
     # From a non-constant start a budget of 8 is one M8 step, which has no
     # earlier estimate to converge against, or two M4 steps, which do.
     x = np.random.default_rng(34).random(n) + 0.5
-    _, _, iterations, _, residual = _iterate(
-        src, dst, x, PowerIterationConfig(max_iterations=8), shift
-    )
-    assert iterations == 8 and (residual == math.inf) == (power == 8)
-    radius, _, iterations, converged, _ = _iterate(
-        src, dst, x, PowerIterationConfig(), shift
-    )
-    assert converged and iterations % power == 0
+    result = _iterate(src, dst, x, PowerIterationConfig(max_iterations=8), shift)
+    assert result.iterations == 8 and (result.residual == math.inf) == (power == 8)
+    result = _iterate(src, dst, x, PowerIterationConfig(), shift)
+    assert result.converged and result.iterations % power == 0
     expected_radius = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
-    assert radius - shift == pytest.approx(expected_radius, rel=1e-9)
+    assert result.spectral_radius - shift == pytest.approx(expected_radius, rel=1e-9)
 
 
 def _eighth_power_cases():
@@ -508,14 +504,12 @@ def test_dense_eighth_power_decision_matches_integer_rule(shift):
 def test_shifted_dense_path_converges():
     g = nearly_bipartite_graph()
     src, dst = g.arcs()
-    radius, vec, iterations, converged, _ = _iterate(
-        src, dst, np.ones(g.node_count), PowerIterationConfig(), shift=1.0
-    )
-    assert converged
-    assert iterations % dense_step(g, 1.0) == 0
+    result = _iterate(src, dst, np.ones(g.node_count), PowerIterationConfig(), shift=1.0)
+    assert result.converged and not result.shifted
+    assert result.iterations % dense_step(g, 1.0) == 0
     expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
-    assert radius - 1.0 == pytest.approx(expected, rel=1e-9)
-    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert result.spectral_radius - 1.0 == pytest.approx(expected, rel=1e-9)
+    assert np.linalg.norm(result.principal_eigenvector) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_new_nodes_start_from_the_eigen_equation():
@@ -623,12 +617,11 @@ def test_iterate_is_bit_identical_to_one_loop_reference(name):
     g, x, budget, shift = ITERATE_CASES[name]
     src, dst = g.arcs()
     config = PowerIterationConfig(max_iterations=budget)
-    radius, vec, iterations, converged, residual = _iterate(
-        src, dst, x.copy(), config, shift
-    )
+    result = _iterate(src, dst, x.copy(), config, shift)
     ref_radius, ref_vec, *ref_rest = reference_iterate(
         src, dst, x.copy(), config.tolerance, budget, shift
     )
-    assert radius == ref_radius
-    assert np.array_equal(vec, ref_vec)
-    assert [iterations, converged, residual] == ref_rest
+    assert result.spectral_radius == ref_radius
+    assert np.array_equal(result.principal_eigenvector, ref_vec)
+    assert [result.iterations, result.converged, result.residual] == ref_rest
+    assert not result.shifted
