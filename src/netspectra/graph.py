@@ -8,8 +8,9 @@ whether the edges form one component come from one private map per node,
 from neighbour to edge number. The matrix the spectral solver multiplies by
 comes from the (source, destination) arc arrays, which hold both directions
 of every edge. Degrees, and the degree moments of ``degree_stats``, come from
-a degree array. The graph also caches the connectivity answer, searching only
-when a mutation leaves it in doubt.
+a degree array. The graph also caches the connectivity answer: a removal
+settles it by a search between the removed edge's endpoints, and a search of
+the whole graph runs only when an addition leaves it in doubt.
 """
 
 from __future__ import annotations
@@ -55,8 +56,13 @@ class Graph:
     degrees: an edge between two isolated nodes starts a component, one that
     touches an isolated node extends one, and one between two non-isolated
     nodes may merge two. A removal that isolates an endpoint, or whose
-    endpoints still share a neighbour, splits nothing; any other may split
-    one. ``connected`` settles an unknown flag by one search.
+    endpoints still share a neighbour, splits nothing. Any other removal
+    from a connected graph splits it exactly when no path joins its
+    endpoints any more, which a search from both endpoints settles on the
+    spot, stopping where the two meet. So only an addition that may join
+    two components, or the removal of a lone edge from a graph whose edges
+    form several, leaves the flag unknown, and ``connected`` settles it by
+    one search of the whole graph.
 
     ``warm_vector`` is the last converged power-iteration iterate on this
     graph while it was connected, or None (a new graph has none), and
@@ -163,7 +169,23 @@ class Graph:
         if du == 0 and dv == 0:
             self._connected = True if last == 0 else None
         elif du and dv and self._connected and nu.keys().isdisjoint(nv):
-            self._connected = None
+            self._connected = self._joined(u, v)
+
+    def _joined(self, u: int, v: int) -> bool:
+        """Whether a path joins ``u`` and ``v``: a breadth-first search from
+        each, one level at a time from the smaller frontier, until one
+        reaches a node the other has seen or runs out of nodes."""
+        adj = self._adj
+        seen_a = front_a = {u}
+        seen_b = front_b = {v}
+        while front_a:
+            if len(front_a) > len(front_b):
+                front_a, front_b, seen_a, seen_b = front_b, front_a, seen_b, seen_a
+            front_a = set().union(*(adj[x] for x in front_a)) - seen_a
+            if not front_a.isdisjoint(seen_b):
+                return True
+            seen_a |= front_a
+        return False
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)

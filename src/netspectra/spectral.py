@@ -82,10 +82,11 @@ class PowerIterationConfig:
 class SpectralResult:
     """Outcome of one power-iteration solve.
 
-    ``residual`` is the gap between the last two radius estimates. ``shifted``
-    marks solves that only converged after shifting the matrix by +I (the
-    shift widens the relative gap when the most negative eigenvalue is close
-    to the radius in magnitude; the radius is recovered by subtracting 1).
+    ``spectral_radius`` and ``residual``, the gap between the last two
+    radius estimates, are Python floats on every kernel. ``shifted`` marks
+    solves that only converged after shifting the matrix by +I (the shift
+    widens the relative gap when the most negative eigenvalue is close to
+    the radius in magnitude; the radius is recovered by subtracting 1).
 
     ``iterations`` counts multiplies by the adjacency matrix from the solve's
     starting vector: the graph's previous converged iterate (a warm start) or
@@ -174,11 +175,13 @@ def _iterate(
         power, m = _dense_powers(src, dst, n, shift, budget)
         m_dot = m.dot
     bincount = np.bincount
-    xx = x.dot(x)
+    exponent = 0.5 / power
+    last_start = budget - power
+    xx = float(x.dot(x))
     prev_norm = -1.0
     residual = math.inf
     iterations = 0
-    while iterations <= budget - power:
+    while iterations <= last_start:
         if m_dot is None:
             y = bincount(dst, x[src], n)
             if shift:
@@ -186,13 +189,13 @@ def _iterate(
         else:
             y = m_dot(x)
         iterations += power
-        yy = y.dot(y)
+        yy = float(y.dot(y))
         if yy == 0.0:
             # A annihilated the iterate: the graph has no edges, or the
             # start has no weight on any endpoint of one (power_iteration
             # then restarts from all-ones).
             return SpectralResult(0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0)
-        norm = math.sqrt(yy / xx) if m_dot is None else (yy / xx) ** (0.5 / power)
+        norm = math.sqrt(yy / xx) if m_dot is None else (yy / xx) ** exponent
         if prev_norm >= 0.0:
             residual = abs(norm - prev_norm)
             if residual <= tolerance:

@@ -24,6 +24,25 @@ def path_graph(n: int) -> Graph:
     return g
 
 
+def edge_components_by_search(g: Graph) -> int:
+    """The number of connected components that hold edges, by a depth-first
+    search over ``neighbors``."""
+    seen = set()
+    count = 0
+    for start in range(g.node_count):
+        if start in seen or not g.neighbors(start):
+            continue
+        count += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            for b in g.neighbors(stack.pop()):
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+    return count
+
+
 def complete_graph(n: int) -> Graph:
     g = Graph(n)
     for u in range(n):

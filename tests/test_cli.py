@@ -30,7 +30,7 @@ def get_field(out, label):
 def csv_ratio(path):
     """The lambda_ratio cell a time series CSV would hold for the graph in
     ``path``: the shortest decimal that round-trips the snapshot's ratio."""
-    return repr(float(snapshot(parse_edge_list(path.read_text()), 0).lambda_ratio))
+    return repr(snapshot(parse_edge_list(path.read_text()), 0).lambda_ratio)
 
 
 def test_analyze_star(tmp_path, capsys):

@@ -14,7 +14,7 @@ from netspectra import (
 )
 from netspectra import graph as graph_module
 
-from helpers import cycle_graph, path_graph, star_graph
+from helpers import cycle_graph, edge_components_by_search, path_graph, star_graph
 
 
 def test_new_graph_is_empty():
@@ -377,8 +377,11 @@ def test_incremental_arrays_track_random_mutations():
     ask = np.random.default_rng(7)
     pairs = np.random.default_rng(8)
     searched = cached = removed_last = moved_last = 0
-    g = Graph(5)
-    for _ in range(1500):
+    for step in range(3000):
+        if step % 1500 == 0:
+            # most unknown flags arise while the graph is sparse, so the
+            # sequence starts twice from a fresh graph
+            g = Graph(5)
         r = rng.random()
         if r < 0.03:
             g.add_node()
@@ -419,7 +422,7 @@ def test_incremental_arrays_track_random_mutations():
         if ask.random() < 0.2:
             searched += g._connected is None
             cached += g._connected is False
-            assert g.connected() == (_edge_components_by_search(g) <= 1)
+            assert g.connected() == (edge_components_by_search(g) <= 1)
     assert searched > 20 and cached > 0
     assert removed_last > 0 and moved_last > 0
 
@@ -436,41 +439,35 @@ def test_empty_graph_memory_per_node():
     assert traced / 100_000 <= 120
 
 
-@pytest.mark.parametrize(
-    "edge, components",
-    [
-        ((0, 1), 1),  # on the triangle 0-1-2: 0 and 1 still share neighbour 2
-        ((2, 3), 2),  # the bridge: 0-1-2 and 3-4 split
-    ],
-)
-def test_removal_splits_only_at_a_bridge(edge, components):
+def _triangle_with_tail():
     g = Graph(5)
     for u, v in ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)):
         g.add_edge(u, v)
+    return g
+
+
+@pytest.mark.parametrize(
+    "build, edge, components",
+    [
+        (_triangle_with_tail, (0, 1), 1),  # 0 and 1 still share neighbour 2
+        (_triangle_with_tail, (2, 3), 2),  # the bridge: 0-1-2 and 3-4 split
+        # 0 and 1 stay joined only the long way round
+        (lambda: cycle_graph(12), (0, 1), 1),
+        (lambda: path_graph(12), (5, 6), 2),  # a bridge mid-path: 0-5 and 6-11 split
+    ],
+    ids=["edge0-1", "edge1-2", "long-cycle-1", "long-path-2"],
+)
+def test_removal_splits_only_at_a_bridge(build, edge, components):
+    g = build()
     g.remove_edge(*edge)
-    assert _edge_components_by_search(g) == components
+    assert edge_components_by_search(g) == components
+    # the removal settles the flag itself; connected() has nothing to search
+    assert g._connected is (components == 1)
     assert g.connected() == (components == 1)
     # the connectivity flag stays right for the removals that follow
     for u, v in sorted(g.edges()):
         g.remove_edge(u, v)
-        assert g.connected() == (_edge_components_by_search(g) <= 1)
-
-
-def _edge_components_by_search(g):
-    seen = set()
-    count = 0
-    for start in range(g.node_count):
-        if start in seen or not g.neighbors(start):
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            for b in g.neighbors(stack.pop()):
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-    return count
+        assert g.connected() == (edge_components_by_search(g) <= 1)
 
 
 def test_edge_components_split_and_merge():

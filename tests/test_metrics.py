@@ -41,6 +41,7 @@ def test_snapshot_star():
     assert rec.node_count == 5
     assert rec.edge_count == 4
     assert rec.lambda_ratio == pytest.approx(1.25)
+    assert type(rec.lambda_ratio) is float  # not a numpy scalar from the dense kernel
     assert rec.cv == pytest.approx(0.75)
 
 

@@ -113,6 +113,13 @@ def test_convergence_diagnostics():
     assert result.residual <= 1e-10
 
 
+@pytest.mark.parametrize("n", [_DENSE_MAX_NODES, _DENSE_MAX_NODES + 1])
+def test_radius_and_residual_are_python_floats_on_both_kernels(n):
+    result = power_iteration(erdos_renyi(n, 0.1, np.random.default_rng(3)))
+    assert type(result.spectral_radius) is float
+    assert type(result.residual) is float
+
+
 def test_matches_trace_oracle_on_dense_random_graphs():
     rng = np.random.default_rng(314)
     for _ in range(20):

@@ -11,6 +11,8 @@ from netspectra import (
 from netspectra.graph import degree_stats
 from netspectra.ws import _nth_outside, initial_edges, ws_initialize
 
+from helpers import edge_components_by_search
+
 
 def test_config_validation():
     with pytest.raises(ValueError, match=r"nodes_per_ring must be in \[3, 500000\], got 2"):
@@ -160,6 +162,24 @@ def test_evolve_reports_lattice_then_each_completed_rewire():
     assert [step for step, _ in seen] == list(range(len(completed) + 1))
     assert seen[0][1] == sorted(initial_edges(3))
     assert seen[-1][1] == list(g.edges()) == list(lattice.edges())
+
+
+def test_connectivity_flag_is_settled_after_every_rewire():
+    # once the lattice's flag is known, each rewire's removal settles it on
+    # the spot, so no solve after the first has to search the whole graph
+    # (no rewire of this run splits the graph, so no addition may join two
+    # components)
+    rewires = []
+
+    def observe(step, g):
+        if step == 0:
+            g.connected()  # the lattice, built ring by ring, is searched once
+        assert isinstance(g._connected, bool)
+        assert g._connected == (edge_components_by_search(g) <= 1)
+        rewires.append(step)
+
+    ws_evolve(WSConfig(50, 0.5), np.random.default_rng(1), observe)
+    assert len(rewires) > 50
 
 
 def test_evolve_without_observer_matches_rewire():
