@@ -45,9 +45,9 @@ DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
 
 # Squared iterate norm above which _iterate rescales its unnormalized iterate.
-# A step of p multiplies grows it by at most (radius + shift)**(2p): below
-# 1e34 for an M8 step (at most 128 nodes), far below the 1e108 left before
-# float64 overflows.
+# A step of p multiplies grows it by at most n**(2p), n bounding the radius:
+# below 1e34 for an M8 step (at most 128 nodes), far below the 1e108 left
+# before float64 overflows.
 _RESCALE_ABOVE = 1e200
 
 # Node count up to which _iterate steps with a dense power of the matrix.
@@ -109,28 +109,26 @@ class SpectralResult:
 
 
 def _dense_powers(
-    src: np.ndarray, dst: np.ndarray, n: int, shift: float, budget: int
+    src: np.ndarray, dst: np.ndarray, n: int, budget: int
 ) -> tuple[int, np.ndarray]:
     """The one dense kernel (p, M) of a solve with at least 4 multiplies of
-    budget: M = (A + shift*I)**p as an n x n float64 array, A filled from the
-    arc arrays, with p = 8 when the budget holds a step of 8 and M8 is exact
-    in float32, else p = 4.
+    budget: M = A**p as an n x n float64 array, A the 0/1 matrix filled from
+    the arc arrays, with p = 8 when the budget holds a step of 8 and M8 is
+    exact in float32, else p = 4.
 
-    With shift 0 or 1 every product and partial sum formed while squaring
-    in float32 is a count of walks: a nonnegative integer no larger than the
-    entry it adds up to. float32 holds every integer up to 2**24 and rounds
-    monotonically, so the first inexact operation gives at least 2**24, and
-    so does the entry it feeds. M4's entries are at most n**3 <= 2**24 for
+    A's entries are 0 or 1, so every product and partial sum formed while
+    squaring in float32 is a count of walks: a nonnegative integer no larger
+    than the entry it adds up to. float32 holds every integer up to 2**24 and
+    rounds monotonically, so the first inexact operation gives at least 2**24,
+    and so does the entry it feeds. M4's entries are at most n**3 <= 2**24 for
     n <= 256, so M4 is always exact. M8 = M4 @ M4 = M4.T @ M4 is a Gram
     matrix, so by Cauchy-Schwarz its largest entry lies on its diagonal. A
-    computed diagonal below 2**24 is therefore exact, the exact M8 lies
-    below 2**24 everywhere, and so every entry is exact too; a computed
-    diagonal entry of 2**24 or more means the exact one is at least that.
+    computed diagonal below 2**24 is therefore exact, the exact M8 lies below
+    2**24 everywhere, and so every entry is exact too; a computed diagonal
+    entry of 2**24 or more means the exact one is at least that.
     """
     m = np.zeros((n, n), dtype=np.float32)
     m[dst, src] = 1.0
-    if shift:
-        m.flat[:: n + 1] = shift
     m = m.dot(m)
     m = m.dot(m)
     if budget >= 8:
@@ -145,25 +143,23 @@ def _iterate(
     dst: np.ndarray,
     x: np.ndarray,
     config: PowerIterationConfig,
-    shift: float,
 ) -> SpectralResult:
-    """Run the norm-convergence loop for A + shift*I from ``x``.
+    """Run the norm-convergence loop for the matrix A of the arcs from ``x``.
 
     The iterate is not normalized between multiplies: with yy_k the squared
     norm of the k-th product (yy_0 that of ``x``), the radius estimate
     sqrt(yy_k / yy_{k-1}) is ``||A u||`` for the unit vector u along the
     previous iterate, so the stopping rule is that of a normalized loop. The
     iterate is rescaled only when its squared norm passes _RESCALE_ABOVE, and
-    the result's vector is normalized. The result is that of A + shift*I: it
-    is never marked shifted, and its radius includes the shift.
+    the result's vector is normalized. The result is never marked shifted.
 
     The kernel is chosen once, before the first step: on a graph of at most
     _DENSE_MAX_NODES nodes with a budget of at least 4, the dense power M =
-    (A + shift*I)**p from _dense_powers; otherwise the sparse arcs. A dense
-    step is one matrix-vector product that counts as p multiplies, and its
-    estimate is (yy_k / yy_{k-1}) ** (1 / (2p)), the geometric mean of the p
-    growth factors; a sparse step is one multiply, a gather and a bincount
-    over the arcs. The loop stops when another step would pass
+    A**p from _dense_powers; otherwise the sparse arcs. A dense step is one
+    matrix-vector product that counts as p multiplies, and its estimate is
+    (yy_k / yy_{k-1}) ** (1 / (2p)), the geometric mean of the p growth
+    factors; a sparse step is one multiply, a gather and a bincount over the
+    arcs. The loop stops when another step would pass
     ``max_iterations``, so a failing solve has taken ``max_iterations -
     max_iterations % p`` multiplies.
     """
@@ -172,7 +168,7 @@ def _iterate(
     tolerance = config.tolerance
     power, m_dot = 1, None
     if n <= _DENSE_MAX_NODES and budget >= 4:
-        power, m = _dense_powers(src, dst, n, shift, budget)
+        power, m = _dense_powers(src, dst, n, budget)
         m_dot = m.dot
     bincount = np.bincount
     exponent = 0.5 / power
@@ -184,8 +180,6 @@ def _iterate(
     while iterations <= last_start:
         if m_dot is None:
             y = bincount(dst, x[src], n)
-            if shift:
-                y += shift * x
         else:
             y = m_dot(x)
         iterations += power
@@ -241,15 +235,16 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
     endpoint of every edge, so that the first multiply annihilates it. The
     factor by which one multiply grows the iterate's Euclidean norm
     converges to the spectral radius, and iteration stops when two
-    consecutive factors agree to within the tolerance. If the plain
-    iteration exhausts its budget (norm oscillation on bipartite-like
-    spectra), one retry runs on A + I from the same start and the radius is
-    the converged factor minus 1. The converged iterate of a connected
-    graph, normalized, becomes its new ``warm_vector``, and the radius its
-    ``warm_radius``.
+    consecutive factors agree to within the tolerance. For symmetric A the
+    factors only rise, but slowly when the most negative eigenvalue nearly
+    matches the radius in magnitude. If the plain iteration exhausts its
+    budget, one retry with the same budget runs on A + I from the same
+    start, which widens that gap, and the radius is the converged factor
+    minus 1. The converged iterate of a connected graph, normalized, becomes
+    its new ``warm_vector``, and the radius its ``warm_radius``.
 
-    Raises NotConvergedError, carrying the best unshifted result, if the
-    retry fails too.
+    Raises NotConvergedError if the retry fails too. It carries the plain
+    attempt's result, whose iterations leave out the retry's multiplies.
     """
     if config is None:
         config = PowerIterationConfig()
@@ -271,14 +266,17 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
     connected = g.connected()
     x0 = _start_vector(g, connected)
 
-    result = _iterate(src, dst, x0, config, shift=0.0)
+    result = _iterate(src, dst, x0, config)
     if result.spectral_radius == 0.0:
         # A warm start with no weight on any edge's endpoints: the edges
         # moved to nodes the stored iterate is zero on (isolated at its solve).
         x0 = np.ones(n, dtype=np.float64)
-        result = _iterate(src, dst, x0, config, shift=0.0)
+        result = _iterate(src, dst, x0, config)
     if not result.converged:
-        retry = _iterate(src, dst, x0, config, shift=1.0)
+        # A + I: one loop arc (i, i) per node after the edge arcs, so each
+        # node adds its own entry after its neighbours' sum.
+        loops = np.arange(n)
+        retry = _iterate(np.concatenate((src, loops)), np.concatenate((dst, loops)), x0, config)
         if not retry.converged:
             raise NotConvergedError(
                 f"power iteration did not converge within {config.max_iterations} "

@@ -51,6 +51,19 @@ def complete_graph(n: int) -> Graph:
     return g
 
 
+def nearly_bipartite(a: int = 5, b: int = 5) -> Graph:
+    """The complete bipartite graph on sides 0..a-1 and a..a+b-1 plus the
+    edge (0, 1) inside the first side. Its most negative eigenvalue nearly
+    matches the radius in magnitude, so plain power iteration converges
+    slowly."""
+    g = Graph(a + b)
+    for u in range(a):
+        for v in range(a, a + b):
+            g.add_edge(u, v)
+    g.add_edge(0, 1)
+    return g
+
+
 def star_graph(n: int) -> Graph:
     """Hub node 0 joined to n - 1 leaves."""
     g = Graph(n)

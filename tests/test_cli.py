@@ -11,7 +11,7 @@ from netspectra import Graph, GraphError, parse_edge_list, snapshot, write_edge_
 from netspectra import cli
 from netspectra.cli import main
 
-from helpers import path_graph, star_graph
+from helpers import nearly_bipartite, path_graph, star_graph
 
 
 def write_graph(tmp_path, g, name="graph.txt"):
@@ -144,6 +144,15 @@ def test_analyze_nonconvergence_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "not converged" in captured.out
     assert "did not converge" in captured.err
+
+
+def test_analyze_reports_shifted_retry(tmp_path, capsys):
+    # plain iteration needs 92 multiplies on this graph, the +I retry 24
+    path = write_graph(tmp_path, nearly_bipartite())
+    assert main(["analyze", str(path), "--max-iterations", "32"]) == 0
+    out = capsys.readouterr().out
+    assert get_field(out, "shifted") == "yes"
+    assert float(get_field(out, "spectral radius")) == pytest.approx(5.231013288266764, abs=1e-8)
 
 
 def test_ba_outputs(tmp_path, capsys):

@@ -27,23 +27,13 @@ from helpers import (
     disjoint_union,
     erdos_renyi,
     fresh_copy,
+    nearly_bipartite,
     path_graph,
     reference_iterate,
     reference_power_iteration,
     star_graph,
     trace_oracle_spectral_radius,
 )
-
-
-def nearly_bipartite_graph():
-    # complete bipartite on 5+5 plus one edge inside a side; its extreme
-    # eigenvalues are close in magnitude, so plain iteration converges slowly
-    g = Graph(10)
-    for u in range(5):
-        for v in range(5, 10):
-            g.add_edge(u, v)
-    g.add_edge(0, 1)
-    return g
 
 
 def test_known_radii():
@@ -142,7 +132,7 @@ def test_exhausted_budget_raises_with_partial_result():
 
 def test_shift_retry_rescues_slow_convergence():
     # plain iteration needs 92 multiplies here, the shifted one 24
-    g = nearly_bipartite_graph()
+    g = nearly_bipartite()
     result = power_iteration(g, PowerIterationConfig(max_iterations=32))
     assert result.converged
     assert result.shifted
@@ -150,21 +140,34 @@ def test_shift_retry_rescues_slow_convergence():
     assert result.spectral_radius == pytest.approx(5.231013288266764, abs=1e-8)
 
 
+def test_shift_retry_on_the_sparse_kernel():
+    # 130 nodes, past the dense cutoff: both attempts take single sparse
+    # multiplies, the retry's with one loop arc per node
+    g = nearly_bipartite(64, 66)
+    assert g.node_count == 130
+    result = power_iteration(g, PowerIterationConfig(max_iterations=300))
+    assert result.converged and result.shifted
+    assert result.iterations == 182
+    assert result.spectral_radius == 65.00817053672418  # frozen, bit for bit
+    expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+    assert result.spectral_radius == pytest.approx(expected, rel=1e-9)
+
+
 def test_shift_retry_can_fail_too():
-    g = nearly_bipartite_graph()
+    g = nearly_bipartite()
     with pytest.raises(NotConvergedError):
         power_iteration(g, PowerIterationConfig(max_iterations=15))
 
 
 def test_failed_retry_reports_unit_eigenvector():
     with pytest.raises(NotConvergedError) as exc:
-        power_iteration(nearly_bipartite_graph(), PowerIterationConfig(max_iterations=15))
+        power_iteration(nearly_bipartite(), PowerIterationConfig(max_iterations=15))
     vec = exc.value.result.principal_eigenvector
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shift_changes_nothing_when_plain_converges():
-    result = power_iteration(nearly_bipartite_graph())
+    result = power_iteration(nearly_bipartite())
     assert result.converged
     assert not result.shifted
     assert result.spectral_radius == pytest.approx(5.231013288266764, abs=1e-8)
@@ -305,7 +308,7 @@ PINNED_GRAPHS = {
     "erdos-renyi": lambda: erdos_renyi(40, 0.15, np.random.default_rng(24)),
     "erdos-renyi-150": lambda: erdos_renyi(150, 0.05, np.random.default_rng(26)),
     "star": lambda: star_graph(9),
-    "nearly-bipartite": nearly_bipartite_graph,
+    "nearly-bipartite": nearly_bipartite,
 }
 
 
@@ -389,7 +392,7 @@ def test_dense_steps_never_overshoot_budget(max_iterations):
     # the budget.
     config = PowerIterationConfig(max_iterations=max_iterations)
     with pytest.raises(NotConvergedError) as exc:
-        power_iteration(nearly_bipartite_graph(), config)
+        power_iteration(nearly_bipartite(), config)
     partial = exc.value.result
     step = 8 if max_iterations >= 8 else 4 if max_iterations >= 4 else 1
     assert partial.iterations <= max_iterations
@@ -415,11 +418,21 @@ def test_a_solve_never_switches_kernels(name, budget, iterations):
     assert exc.value.result.iterations == iterations
 
 
+def shifted_arcs(g, shift):
+    """The arcs of A + shift*I for shift 0 or 1: those of ``g``, then one
+    loop arc (i, i) per node when shift is 1, as power_iteration's retry
+    builds them."""
+    src, dst = g.arcs()
+    if not shift:
+        return src, dst
+    loops = np.arange(g.node_count)
+    return np.concatenate((src, loops)), np.concatenate((dst, loops))
+
+
 def dense_step(g, shift):
     """Multiplies per dense step of a solve on ``g`` with a budget of at
     least 8: 8 when (A + shift*I)**8 is exact in float32, else 4."""
-    src, dst = g.arcs()
-    return _dense_powers(src, dst, g.node_count, shift, 8)[0]
+    return _dense_powers(*shifted_arcs(g, shift), g.node_count, 8)[0]
 
 
 def integer_power(g, shift, p):
@@ -433,8 +446,8 @@ def test_dense_fourth_power_is_exact_at_the_cutoff(shift):
     # Its eighth power reaches 2**24, so only the fourth is kept.
     n = _DENSE_MAX_NODES
     g = complete_graph(n)
-    src, dst = g.arcs()
-    power, m4 = _dense_powers(src, dst, n, shift, 8)
+    src, dst = shifted_arcs(g, shift)
+    power, m4 = _dense_powers(src, dst, n, 8)
     assert power == 4
     assert np.array_equal(m4, integer_power(g, shift, 4))
 
@@ -454,10 +467,10 @@ EIGHTH_POWER_MAX = {
 @pytest.mark.parametrize("n, shift", sorted(EIGHTH_POWER_MAX))
 def test_dense_eighth_power_only_when_exact(n, shift):
     g = complete_graph(n)
-    src, dst = g.arcs()
-    power, m4 = _dense_powers(src, dst, n, shift, 7)  # no room for a step of 8
+    src, dst = shifted_arcs(g, shift)
+    power, m4 = _dense_powers(src, dst, n, 7)  # no room for a step of 8
     assert power == 4 and np.array_equal(m4, integer_power(g, shift, 4))
-    power, m = _dense_powers(src, dst, n, shift, 8)
+    power, m = _dense_powers(src, dst, n, 8)
     expected = integer_power(g, shift, 8)
     assert expected.max() == EIGHTH_POWER_MAX[n, shift]
     assert power == (8 if expected.max() < 2**24 else 4)
@@ -465,9 +478,9 @@ def test_dense_eighth_power_only_when_exact(n, shift):
     # From a non-constant start a budget of 8 is one M8 step, which has no
     # earlier estimate to converge against, or two M4 steps, which do.
     x = np.random.default_rng(34).random(n) + 0.5
-    result = _iterate(src, dst, x, PowerIterationConfig(max_iterations=8), shift)
+    result = _iterate(src, dst, x, PowerIterationConfig(max_iterations=8))
     assert result.iterations == 8 and (result.residual == math.inf) == (power == 8)
-    result = _iterate(src, dst, x, PowerIterationConfig(), shift)
+    result = _iterate(src, dst, x, PowerIterationConfig())
     assert result.converged and result.iterations % power == 0
     expected_radius = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
     assert result.spectral_radius - shift == pytest.approx(expected_radius, rel=1e-9)
@@ -494,8 +507,7 @@ def test_dense_eighth_power_decision_matches_integer_rule(shift):
     # M4[i, i]**2) and where only the full eighth power does.
     outcomes = {"kept": 0, "ruled out by the diagonal": 0, "ruled out by M8": 0}
     for g in _eighth_power_cases():
-        src, dst = g.arcs()
-        power, m = _dense_powers(src, dst, g.node_count, shift, 8)
+        power, m = _dense_powers(*shifted_arcs(g, shift), g.node_count, 8)
         expected = integer_power(g, shift, 8)
         assert expected.max() == expected.diagonal().max()
         if expected.max() < 2**24:
@@ -509,9 +521,9 @@ def test_dense_eighth_power_decision_matches_integer_rule(shift):
 
 
 def test_shifted_dense_path_converges():
-    g = nearly_bipartite_graph()
-    src, dst = g.arcs()
-    result = _iterate(src, dst, np.ones(g.node_count), PowerIterationConfig(), shift=1.0)
+    g = nearly_bipartite()
+    src, dst = shifted_arcs(g, 1.0)
+    result = _iterate(src, dst, np.ones(g.node_count), PowerIterationConfig())
     assert result.converged and not result.shifted
     assert result.iterations % dense_step(g, 1.0) == 0
     expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
@@ -588,16 +600,18 @@ def test_warm_start_with_no_weight_on_any_edge_restarts_cold(n, moved):
 
 
 # (graph, start, max_iterations, shift) cases for the bit-identity guard:
-# dense and sparse graphs, warm (non-constant) starts, the shifted retry,
-# rescaling on both kernels (M4 steps on rescaled-dense, whose M8 is not
-# exact) and an edgeless graph's zero-norm guard. The handover-* cases fail
-# on budgets of 4 to 17, around one or two dense steps, where the kernel
-# depends on the budget and the solve stops once another step would pass it.
+# dense and sparse graphs, warm (non-constant) starts, the shifted retry
+# (shift 1: _iterate gets the loop arcs, the oracle the shift), rescaling on
+# both kernels (M4 steps on rescaled-dense, whose M8 is not exact) and an
+# edgeless graph's zero-norm guard. The handover-* cases, named before a
+# solve kept one kernel throughout, fail on budgets of 4 to 17, around one
+# or two dense steps, where the kernel depends on the budget and the solve
+# stops once another step would pass it.
 def _iterate_cases():
     rng = np.random.default_rng(31)
     ws = ws_evolve(WSConfig(50, 0.5), np.random.default_rng(32))
     ba = ba_evolve(BAConfig(3, 300, 2), np.random.default_rng(33))
-    bip = nearly_bipartite_graph()
+    bip = nearly_bipartite()
     cases = {
         "dense-cold": (ws, np.ones(100), 100_000, 0.0),
         "dense-warm": (ws, rng.random(100) + 0.5, 100_000, 0.0),
@@ -622,9 +636,11 @@ ITERATE_CASES = _iterate_cases()
 @pytest.mark.parametrize("name", sorted(ITERATE_CASES))
 def test_iterate_is_bit_identical_to_one_loop_reference(name):
     g, x, budget, shift = ITERATE_CASES[name]
-    src, dst = g.arcs()
     config = PowerIterationConfig(max_iterations=budget)
-    result = _iterate(src, dst, x.copy(), config, shift)
+    result = _iterate(*shifted_arcs(g, shift), x.copy(), config)
+    # The oracle applies the shift itself, to A's arcs: equal bits show that
+    # the loop arcs give A + shift*I in the same operation order.
+    src, dst = g.arcs()
     ref_radius, ref_vec, *ref_rest = reference_iterate(
         src, dst, x.copy(), config.tolerance, budget, shift
     )
