@@ -8,15 +8,16 @@ even at thousands of nodes. The iterate stays unnormalized between
 multiplies and the radius estimate is the growth of its norm, so an
 iteration is the gather, the bincount and one dot product. At the sizes
 tracked step by step, numpy's per-call overhead, not arithmetic, sets its
-cost. On graphs of at most 128 nodes a solve therefore steps with a dense
-power of the matrix, built once from the arcs by float32 squarings: the
-eighth power when all its entries (walk counts) stay below 2**24, so that
-float32 holds them exactly, and the budget holds a step of eight; else the
-fourth, if the budget holds a step of four. A step is one matrix-vector
-product that does the work of eight (or four) multiplies for about the cost
-of one sparse multiply. Each solve chooses its kernel once, before its first
-step, and steps with it alone until it converges or another step would pass
-the budget.
+cost. On graphs of at most 128 nodes a solve whose budget holds two
+eighth-power steps (16 multiplies) therefore steps with a dense power of the
+matrix, built once from the arcs by float32 squarings: the eighth power when
+all its entries (walk counts) stay below 2**24, so that float32 holds them
+exactly, else the fourth. A step is one matrix-vector product that does the
+work of eight (or four) multiplies for about the cost of one sparse
+multiply. Below a budget of 16 a solve takes single sparse multiplies, so
+that from a budget of 2 it compares two estimates. Each solve chooses its
+kernel once, before its first step, and steps with it alone until it
+converges or another step would pass the budget.
 
 Evolution runs solve after every one-to-few edge change, and a change that
 small moves the principal eigenvector little. Each solve on a connected graph
@@ -63,9 +64,12 @@ class PowerIterationConfig:
 
     Iteration ends when two consecutive radius estimates (the factors by
     which a multiply grows the iterate's norm) agree to within ``tolerance``,
-    or fails when another step would pass ``max_iterations`` multiplies. A
-    dense step counts 8 or 4 multiplies, so a failing dense solve has taken
-    ``max_iterations - max_iterations % p`` of them, p its step.
+    or fails when another step would pass ``max_iterations`` multiplies.
+    Dense steps, of 8 or 4 multiplies, are taken only on graphs of at most
+    128 nodes and with a budget of at least 16; every other solve takes
+    single multiplies. A failing solve has therefore taken ``max_iterations
+    - max_iterations % p`` multiplies, p its step. Convergence needs two
+    estimates, so a budget of 1 never converges.
     """
 
     tolerance: float = DEFAULT_TOLERANCE
@@ -108,13 +112,11 @@ class SpectralResult:
     shifted: bool = False
 
 
-def _dense_powers(
-    src: np.ndarray, dst: np.ndarray, n: int, budget: int
-) -> tuple[int, np.ndarray]:
-    """The one dense kernel (p, M) of a solve with at least 4 multiplies of
-    budget: M = A**p as an n x n float64 array, A the 0/1 matrix filled from
-    the arc arrays, with p = 8 when the budget holds a step of 8 and M8 is
-    exact in float32, else p = 4.
+def _dense_powers(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """The one dense kernel (p, M) of a solve: M = A**p as an n x n float64
+    array, A the 0/1 matrix filled from the arc arrays, with p = 8 when M8 is
+    exact in float32, else p = 4. The fourth power thus serves only graphs
+    whose walk counts pass 2**24.
 
     A's entries are 0 or 1, so every product and partial sum formed while
     squaring in float32 is a count of walks: a nonnegative integer no larger
@@ -131,10 +133,9 @@ def _dense_powers(
     m[dst, src] = 1.0
     m = m.dot(m)
     m = m.dot(m)
-    if budget >= 8:
-        m8 = m.dot(m)
-        if m8.diagonal().max() < 2**24:
-            return 8, m8.astype(np.float64)
+    m8 = m.dot(m)
+    if m8.diagonal().max() < 2**24:
+        return 8, m8.astype(np.float64)
     return 4, m.astype(np.float64)
 
 
@@ -153,22 +154,24 @@ def _iterate(
     iterate is rescaled only when its squared norm passes _RESCALE_ABOVE, and
     the result's vector is normalized. The result is never marked shifted.
 
-    The kernel is chosen once, before the first step: on a graph of at most
-    _DENSE_MAX_NODES nodes with a budget of at least 4, the dense power M =
-    A**p from _dense_powers; otherwise the sparse arcs. A dense step is one
-    matrix-vector product that counts as p multiplies, and its estimate is
-    (yy_k / yy_{k-1}) ** (1 / (2p)), the geometric mean of the p growth
-    factors; a sparse step is one multiply, a gather and a bincount over the
-    arcs. The loop stops when another step would pass
-    ``max_iterations``, so a failing solve has taken ``max_iterations -
-    max_iterations % p`` multiplies.
+    The kernel is chosen once, before the first step, by one rule: on a
+    graph of at most _DENSE_MAX_NODES nodes whose budget holds two
+    eighth-power steps (16 multiplies), the dense power M = A**p from
+    _dense_powers; otherwise the sparse arcs, so that every budget from 2 up
+    compares two estimates. A dense step is one matrix-vector product that
+    counts as p multiplies, and its estimate is (yy_k / yy_{k-1}) ** (1 /
+    (2p)), the geometric mean of the p growth factors; a sparse step is one
+    multiply, a gather and a bincount over the arcs. The loop stops when
+    another step would pass ``max_iterations``, so a failing solve has taken
+    ``max_iterations - max_iterations % p`` multiplies; a budget of 1 holds
+    one estimate and never converges.
     """
     n = len(x)
     budget = config.max_iterations
     tolerance = config.tolerance
     power, m_dot = 1, None
-    if n <= _DENSE_MAX_NODES and budget >= 4:
-        power, m = _dense_powers(src, dst, n, budget)
+    if n <= _DENSE_MAX_NODES and budget >= 16:
+        power, m = _dense_powers(src, dst, n)
         m_dot = m.dot
     bincount = np.bincount
     exponent = 0.5 / power

@@ -168,23 +168,23 @@ def reference_iterate(
     shift: float,
 ) -> tuple[float, np.ndarray, int, bool, float]:
     """An independent oracle for ``spectral._iterate``'s one-kernel loop.
-    The kernel is chosen once: M8 = (A + shift*I)**8 (at most 128 nodes, a
-    budget of at least 8, every entry of M8 below 2**24), else M4 = (A +
-    shift*I)**4 (at most 128 nodes, a budget of at least 4), else single
-    multiplies by the sparse arcs; steps continue while one more fits the
-    budget. The dense powers are integer matrix powers taken in int64, not
-    the library's float32 squarings, and M8's exactness is read from all of
-    its entries, not its diagonal, so a bit-identical result also checks
-    that those squarings and that decision are exact."""
+    The kernel is chosen once: on at most 128 nodes with a budget of at
+    least 16, M8 = (A + shift*I)**8 when every entry of it is below 2**24,
+    else M4 = (A + shift*I)**4; otherwise single multiplies by the sparse
+    arcs. Steps continue while one more fits the budget. The dense powers
+    are integer matrix powers taken in int64, not the library's float32
+    squarings, and M8's exactness is read from all of its entries, not its
+    diagonal, so a bit-identical result also checks that those squarings
+    and that decision are exact."""
     n = len(x)
     step, m = 1, None
-    if n <= 128 and max_iterations >= 4:
+    if n <= 128 and max_iterations >= 16:
         a = np.zeros((n, n), dtype=np.int64)
         a[dst, src] = 1
         a[np.diag_indices(n)] = int(shift)
         a4 = np.linalg.matrix_power(a, 4)
         a8 = a4 @ a4
-        step, m = (8, a8) if max_iterations >= 8 and a8.max() < 2**24 else (4, a4)
+        step, m = (8, a8) if a8.max() < 2**24 else (4, a4)
         m = m.astype(np.float64)
     xx = x.dot(x)
     prev_norm = -1.0

@@ -46,6 +46,17 @@ def test_analyze_star(tmp_path, capsys):
     assert get_field(out, "lambda ratio") == csv_ratio(path)
 
 
+def test_analyze_star_converges_on_a_small_budget(tmp_path, capsys):
+    # Below a budget of 16 the solve takes single multiplies, and the star
+    # converges after two of them.
+    path = write_graph(tmp_path, star_graph(5))
+    assert main(["analyze", str(path), "--max-iterations", "5"]) == 0
+    out = capsys.readouterr().out
+    assert get_field(out, "iterations") == "2"
+    assert get_field(out, "shifted") == "no"
+    assert float(get_field(out, "spectral radius")) == 2.0
+
+
 def test_analyze_regular_graph_reports_unit_ratio(tmp_path, capsys):
     g = Graph(4)
     for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):

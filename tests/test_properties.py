@@ -1,5 +1,6 @@
-"""Property tests: edge-list round trips, the CLI's exit-code contract and
-the solver's radius on graphs small enough for its dense steps."""
+"""Property tests: edge-list round trips, the CLI's exit-code contract, the
+solver's radius on graphs small enough for its dense steps and its use of
+small budgets."""
 
 import contextlib
 import io
@@ -70,18 +71,20 @@ def test_edge_order_comments_and_blank_lines_do_not_matter(g, random, extra):
 )
 @example(n=12, p=1.0, seed=0, budget=40)  # K12: M8 is not exact, M4 steps
 @example(n=10, p=1.0, seed=0, budget=40)  # K10: M8 steps
-@example(n=128, p=0.9, seed=1, budget=11)  # M4 steps only: fails after 8
+@example(n=128, p=0.9, seed=1, budget=11)  # single multiplies: converges in 6
+@example(n=128, p=0.9, seed=1, budget=16)  # M4 steps: converges in 12
 def test_radius_on_dense_kernel_graphs(n, p, seed, budget):
-    # Up to 128 nodes every solve with a budget of 4 or more steps with a
+    # Up to 128 nodes every solve with a budget of 16 or more steps with a
     # dense kernel; dense graphs have walk counts past 2**24 and so step with
-    # M4 instead of M8. A solve never changes kernel, so a failing one stops
-    # at the last multiple of its step within the budget.
+    # M4 instead of M8. Below a budget of 16 a solve takes single sparse
+    # multiplies. A solve never changes kernel, so a failing one stops at the
+    # last multiple of its step within the budget.
     g = erdos_renyi(n, p, np.random.default_rng(seed))
     try:
         result = power_iteration(g, PowerIterationConfig(max_iterations=budget))
     except NotConvergedError as exc:
         a8 = np.linalg.matrix_power(adjacency_matrix(g).astype(np.int64), 8)
-        step = 8 if budget >= 8 and a8.max() < 2**24 else 4 if budget >= 4 else 1
+        step = (8 if a8.max() < 2**24 else 4) if budget >= 16 else 1
         assert exc.result.iterations <= budget
         assert exc.result.iterations == budget - budget % step
         return
@@ -93,6 +96,29 @@ def test_radius_on_dense_kernel_graphs(n, p, seed, budget):
     degrees = g.degree_array().astype(float)
     assert math.sqrt(np.mean(degrees**2)) <= radius + 1e-12
     assert radius <= degrees.max() + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(5, 130),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+)
+@example(n=10, p=1.0, seed=0, budget=12)  # K10: one M8 step would fit
+@example(n=128, p=0.9, seed=1, budget=5)  # one M4 step would fit
+def test_every_budget_from_two_compares_two_estimates(n, p, seed, budget):
+    # A budget of 2 or more holds two estimates on every kernel: two single
+    # multiplies below a budget of 16, two dense steps of 8 or 4 from 16. So
+    # a solve either converges or fails after its plain attempt compared
+    # two estimates, leaving a finite residual.
+    g = erdos_renyi(n, p, np.random.default_rng(seed))
+    try:
+        result = power_iteration(g, PowerIterationConfig(max_iterations=budget))
+    except NotConvergedError as exc:
+        assert math.isfinite(exc.result.residual)
+        return
+    assert result.converged
 
 
 def run_main(argv):

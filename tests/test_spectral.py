@@ -130,6 +130,18 @@ def test_exhausted_budget_raises_with_partial_result():
     assert np.linalg.norm(partial.principal_eigenvector) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("budget", range(2, 41))
+def test_star_converges_at_every_budget_from_two(budget):
+    # The star's radius is 2. From all-ones, one multiply already gives the
+    # radius and the next confirms it. Below a budget of 16 the solve takes
+    # single sparse multiplies; from 16 it takes two M8 steps. No budget
+    # leaves it a single estimate to converge against.
+    result = power_iteration(star_graph(5), PowerIterationConfig(max_iterations=budget))
+    assert result.converged and not result.shifted
+    assert result.spectral_radius == 2.0
+    assert result.iterations == (2 if budget < 16 else 16)
+
+
 def test_shift_retry_rescues_slow_convergence():
     # plain iteration needs 92 multiplies here, the shifted one 24
     g = nearly_bipartite()
@@ -387,35 +399,54 @@ def test_radius_on_either_side_of_dense_cutoff(n):
 def test_dense_steps_never_overshoot_budget(max_iterations):
     # Both the plain and the shifted solve need more than 17 multiplies
     # here, so every budget fails. Walk counts stay below 6**8 < 2**24, so
-    # the solve steps with M8 from a budget of 8, M4 from 4 and single
-    # sparse multiplies below that, and stops when another step would pass
-    # the budget.
+    # the solve steps with M8 from a budget of 16 and single sparse
+    # multiplies below that, and stops when another step would pass the
+    # budget.
     config = PowerIterationConfig(max_iterations=max_iterations)
     with pytest.raises(NotConvergedError) as exc:
         power_iteration(nearly_bipartite(), config)
     partial = exc.value.result
-    step = 8 if max_iterations >= 8 else 4 if max_iterations >= 4 else 1
+    step = 8 if max_iterations >= 16 else 1
     assert partial.iterations <= max_iterations
     assert partial.iterations == max_iterations - max_iterations % step
     assert np.linalg.norm(partial.principal_eigenvector) == pytest.approx(1.0, abs=1e-12)
 
 
+# The first four IDs read name-budget-multiplies as counted when dense steps
+# began at a budget of 4; they are kept so that the test IDs stay stable.
 @pytest.mark.parametrize(
-    "name, budget, iterations",
-    [("K10", 12, 8), ("K10", 15, 8), ("dense-128", 11, 8), ("sparse-129", 11, 11)],
+    "name, budget, iterations, converged",
+    [
+        pytest.param("K10", 12, 2, True, id="K10-12-8"),
+        pytest.param("K10", 15, 2, True, id="K10-15-8"),
+        pytest.param("dense-128", 11, 6, True, id="dense-128-11-8"),
+        pytest.param("sparse-129", 11, 11, False, id="sparse-129-11-11"),
+        pytest.param("K10", 17, 16, True, id="K10-17-16"),
+        pytest.param("dense-128", 17, 12, True, id="dense-128-17-12"),
+        pytest.param("nearly-bipartite", 19, 16, False, id="nearly-bipartite-19-16"),
+    ],
 )
-def test_a_solve_never_switches_kernels(name, budget, iterations):
-    # K10 steps with M8 and the dense ER graph on 128 nodes with M4; neither
-    # takes a smaller step to spend what is left of its budget. Above 128
-    # nodes single sparse multiplies count up to the budget.
+def test_a_solve_never_switches_kernels(name, budget, iterations, converged):
+    # Below a budget of 16 a solve takes single sparse multiplies: K10 from
+    # all-ones converges in 2 and the dense ER graph on 128 nodes in 6. From
+    # 16, K10 and the nearly bipartite graph step with M8 and the ER graph
+    # with M4, and none takes a smaller step to spend what is left of its
+    # budget. Above 128 nodes single sparse multiplies count up to the budget.
     g = {
         "K10": lambda: complete_graph(10),
         "dense-128": lambda: erdos_renyi(128, 0.9, np.random.default_rng(1)),
         "sparse-129": lambda: joined_cliques(65, 64),
+        "nearly-bipartite": nearly_bipartite,
     }[name]()
-    with pytest.raises(NotConvergedError) as exc:
-        power_iteration(g, PowerIterationConfig(max_iterations=budget))
-    assert exc.value.result.iterations == iterations
+    config = PowerIterationConfig(max_iterations=budget)
+    if converged:
+        result = power_iteration(g, config)
+        assert result.converged and not result.shifted
+    else:
+        with pytest.raises(NotConvergedError) as exc:
+            power_iteration(g, config)
+        result = exc.value.result
+    assert result.iterations == iterations
 
 
 def shifted_arcs(g, shift):
@@ -431,8 +462,8 @@ def shifted_arcs(g, shift):
 
 def dense_step(g, shift):
     """Multiplies per dense step of a solve on ``g`` with a budget of at
-    least 8: 8 when (A + shift*I)**8 is exact in float32, else 4."""
-    return _dense_powers(*shifted_arcs(g, shift), g.node_count, 8)[0]
+    least 16: 8 when (A + shift*I)**8 is exact in float32, else 4."""
+    return _dense_powers(*shifted_arcs(g, shift), g.node_count)[0]
 
 
 def integer_power(g, shift, p):
@@ -447,7 +478,7 @@ def test_dense_fourth_power_is_exact_at_the_cutoff(shift):
     n = _DENSE_MAX_NODES
     g = complete_graph(n)
     src, dst = shifted_arcs(g, shift)
-    power, m4 = _dense_powers(src, dst, n, 8)
+    power, m4 = _dense_powers(src, dst, n)
     assert power == 4
     assert np.array_equal(m4, integer_power(g, shift, 4))
 
@@ -468,18 +499,17 @@ EIGHTH_POWER_MAX = {
 def test_dense_eighth_power_only_when_exact(n, shift):
     g = complete_graph(n)
     src, dst = shifted_arcs(g, shift)
-    power, m4 = _dense_powers(src, dst, n, 7)  # no room for a step of 8
-    assert power == 4 and np.array_equal(m4, integer_power(g, shift, 4))
-    power, m = _dense_powers(src, dst, n, 8)
+    power, m = _dense_powers(src, dst, n)
     expected = integer_power(g, shift, 8)
     assert expected.max() == EIGHTH_POWER_MAX[n, shift]
     assert power == (8 if expected.max() < 2**24 else 4)
     assert np.array_equal(m, integer_power(g, shift, power))
-    # From a non-constant start a budget of 8 is one M8 step, which has no
-    # earlier estimate to converge against, or two M4 steps, which do.
+    # From a non-constant start a budget of 16 holds two M8 steps or four M4
+    # steps, so even a solve that fails compares two estimates.
     x = np.random.default_rng(34).random(n) + 0.5
-    result = _iterate(src, dst, x, PowerIterationConfig(max_iterations=8))
-    assert result.iterations == 8 and (result.residual == math.inf) == (power == 8)
+    result = _iterate(src, dst, x, PowerIterationConfig(max_iterations=16))
+    assert result.converged or result.iterations == 16
+    assert result.iterations % power == 0 and math.isfinite(result.residual)
     result = _iterate(src, dst, x, PowerIterationConfig())
     assert result.converged and result.iterations % power == 0
     expected_radius = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
@@ -507,7 +537,7 @@ def test_dense_eighth_power_decision_matches_integer_rule(shift):
     # M4[i, i]**2) and where only the full eighth power does.
     outcomes = {"kept": 0, "ruled out by the diagonal": 0, "ruled out by M8": 0}
     for g in _eighth_power_cases():
-        power, m = _dense_powers(*shifted_arcs(g, shift), g.node_count, 8)
+        power, m = _dense_powers(*shifted_arcs(g, shift), g.node_count)
         expected = integer_power(g, shift, 8)
         assert expected.max() == expected.diagonal().max()
         if expected.max() < 2**24:
@@ -604,9 +634,9 @@ def test_warm_start_with_no_weight_on_any_edge_restarts_cold(n, moved):
 # (shift 1: _iterate gets the loop arcs, the oracle the shift), rescaling on
 # both kernels (M4 steps on rescaled-dense, whose M8 is not exact) and an
 # edgeless graph's zero-norm guard. The handover-* cases, named before a
-# solve kept one kernel throughout, fail on budgets of 4 to 17, around one
-# or two dense steps, where the kernel depends on the budget and the solve
-# stops once another step would pass it.
+# solve kept one kernel throughout, take budgets of 4 to 17: single sparse
+# multiplies below 16 and dense steps from 16, where the solve stops once
+# another step would pass the budget.
 def _iterate_cases():
     rng = np.random.default_rng(31)
     ws = ws_evolve(WSConfig(50, 0.5), np.random.default_rng(32))
