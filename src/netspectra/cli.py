@@ -200,7 +200,6 @@ def cmd_analyze(args: argparse.Namespace, power: PowerIterationConfig) -> int:
     print(f"lambda ratio: {_fmt(lambda_ratio(stats, lambda: result))}")
     print(f"iterations: {result.iterations}")
     print(f"residual: {_fmt(result.residual)}")
-    print(f"shifted: {'yes' if result.shifted else 'no'}")
     return EXIT_OK
 
 

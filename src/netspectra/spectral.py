@@ -34,7 +34,7 @@ nodes do not count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -87,10 +87,10 @@ class SpectralResult:
     """Outcome of one power-iteration solve.
 
     ``spectral_radius`` and ``residual``, the gap between the last two
-    radius estimates, are Python floats on every kernel. ``shifted`` marks
-    solves that only converged after shifting the matrix by +I (the shift
-    widens the relative gap when the most negative eigenvalue is close to
-    the radius in magnitude; the radius is recovered by subtracting 1).
+    radius estimates, are Python floats on every kernel. ``shifted`` is
+    always False: no solve shifts the matrix. The field stays because the
+    benchmark's probe (``perfbench/probe.py``) reads it for its
+    ``spectral.shifted`` count.
 
     ``iterations`` counts multiplies by the adjacency matrix from the solve's
     starting vector: the graph's previous converged iterate (a warm start) or
@@ -152,7 +152,7 @@ def _iterate(
     sqrt(yy_k / yy_{k-1}) is ``||A u||`` for the unit vector u along the
     previous iterate, so the stopping rule is that of a normalized loop. The
     iterate is rescaled only when its squared norm passes _RESCALE_ABOVE, and
-    the result's vector is normalized. The result is never marked shifted.
+    the result's vector is normalized.
 
     The kernel is chosen once, before the first step, by one rule: on a
     graph of at most _DENSE_MAX_NODES nodes whose budget holds two
@@ -240,14 +240,12 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
     converges to the spectral radius, and iteration stops when two
     consecutive factors agree to within the tolerance. For symmetric A the
     factors only rise, but slowly when the most negative eigenvalue nearly
-    matches the radius in magnitude. If the plain iteration exhausts its
-    budget, one retry with the same budget runs on A + I from the same
-    start, which widens that gap, and the radius is the converged factor
-    minus 1. The converged iterate of a connected graph, normalized, becomes
-    its new ``warm_vector``, and the radius its ``warm_radius``.
+    matches the radius in magnitude. The converged iterate of a connected
+    graph, normalized, becomes its new ``warm_vector``, and the radius its
+    ``warm_radius``.
 
-    Raises NotConvergedError if the retry fails too. It carries the plain
-    attempt's result, whose iterations leave out the retry's multiplies.
+    Raises NotConvergedError when the solve exhausts its budget. It carries
+    that solve's result, whose iterations never exceed ``max_iterations``.
     """
     if config is None:
         config = PowerIterationConfig()
@@ -267,26 +265,17 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
     # component but the dominant one, so it is a poor start once another
     # component overtakes: warm starts chain only across connected graphs.
     connected = g.connected()
-    x0 = _start_vector(g, connected)
-
-    result = _iterate(src, dst, x0, config)
+    result = _iterate(src, dst, _start_vector(g, connected), config)
     if result.spectral_radius == 0.0:
         # A warm start with no weight on any edge's endpoints: the edges
         # moved to nodes the stored iterate is zero on (isolated at its solve).
-        x0 = np.ones(n, dtype=np.float64)
-        result = _iterate(src, dst, x0, config)
+        result = _iterate(src, dst, np.ones(n, dtype=np.float64), config)
     if not result.converged:
-        # A + I: one loop arc (i, i) per node after the edge arcs, so each
-        # node adds its own entry after its neighbours' sum.
-        loops = np.arange(n)
-        retry = _iterate(np.concatenate((src, loops)), np.concatenate((dst, loops)), x0, config)
-        if not retry.converged:
-            raise NotConvergedError(
-                f"power iteration did not converge within {config.max_iterations} "
-                f"iterations (last residual {result.residual:.3e})",
-                result=result,
-            )
-        result = replace(retry, spectral_radius=retry.spectral_radius - 1.0, shifted=True)
+        raise NotConvergedError(
+            f"power iteration did not converge within {config.max_iterations} "
+            f"iterations (last residual {result.residual:.3e})",
+            result=result,
+        )
     g.warm_vector = result.principal_eigenvector.copy() if connected else None
     g.warm_radius = result.spectral_radius
     return result

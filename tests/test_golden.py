@@ -76,7 +76,7 @@ def _golden_entry(command, digests):
 # graph it builds and a cold solve on the sparse kernel. The input's own
 # digest tells a change in the BA draws apart from one in ``analyze``.
 ANALYZE_INPUT = "eafadcc88c69dc482d9dd571ac62d29699cda87456adb8eab7208a9d2f5ff4da"
-ANALYZE_STDOUT = "dd3102d4234436215fde7f968695e8d3bcab60aa2e177f896558381a346038ad"
+ANALYZE_STDOUT = "d52aa97b05381fac7de00d235b938c9a22c40c95e0577011275f86c4ac06130c"
 
 
 def test_analyze_output_matches_recorded_digest(tmp_path, capsys):
