@@ -177,8 +177,7 @@ def _iterate(
     exponent = 0.5 / power
     last_start = budget - power
     xx = float(x.dot(x))
-    prev_norm = -1.0
-    residual = math.inf
+    norm = math.inf
     iterations = 0
     while iterations <= last_start:
         if m_dot is None:
@@ -192,17 +191,15 @@ def _iterate(
             # start has no weight on any endpoint of one (power_iteration
             # then restarts from all-ones).
             return SpectralResult(0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0)
-        norm = math.sqrt(yy / xx) if m_dot is None else (yy / xx) ** exponent
-        if prev_norm >= 0.0:
-            residual = abs(norm - prev_norm)
-            if residual <= tolerance:
-                return SpectralResult(norm, y / math.sqrt(yy), iterations, True, residual)
-        prev_norm = norm
+        prev_norm, norm = norm, math.sqrt(yy / xx) if m_dot is None else (yy / xx) ** exponent
+        residual = abs(norm - prev_norm)
+        if residual <= tolerance:
+            return SpectralResult(norm, y / math.sqrt(yy), iterations, True, residual)
         if yy > _RESCALE_ABOVE:
             y /= math.sqrt(yy)
             yy = 1.0
         x, xx = y, yy
-    return SpectralResult(prev_norm, x / math.sqrt(xx), iterations, False, residual)
+    return SpectralResult(norm, x / math.sqrt(xx), iterations, False, residual)
 
 
 def _start_vector(g: Graph, connected: bool) -> np.ndarray:

@@ -2,17 +2,18 @@
 
 Every test here pins its master seed, states its tolerance inline, and prints
 one summary line with the measured values when it passes (visible with
-pytest -s; pytest -v reports the pass/fail verdict per criterion either way).
-The heavy multi-run conditions are computed once in module fixtures and
+pytest -s or -rP; pytest -v reports the pass/fail verdict per criterion either
+way). The heavy multi-run conditions are computed once in module fixtures and
 shared between the tests that grade them.
 
-The degree bound k_avg <= sqrt(<k**2>) <= radius <= k_max has to hold not
-just on random graphs but on every graph the other checks generate. The model conditions are
-therefore driven through local variants of the library runners whose
-observers assert the bound (and, for rewiring, link conservation) at every
-recorded step. The checks draw no randomness, so these variants consume the
-generator exactly like run_ba_condition and run_ws_condition and their
-summaries are identical for the same seeds.
+The model conditions run through the library's own runners,
+run_ba_condition and run_ws_condition, and are graded on the summaries they
+return. The degree bound k_avg <= sqrt(<k**2>) <= radius <= k_max has to hold
+not just on random graphs but on every graph those runs generate, so the
+module-scoped checked_snapshots fixture wraps netspectra.experiment.snapshot,
+which the runners look up at every step, and asserts the bound and the degree
+sum on each graph they snapshot. The checks draw no randomness, so the
+wrapped runs return exactly what the unwrapped runners do for the same seeds.
 """
 
 import math
@@ -24,15 +25,14 @@ import pytest
 from netspectra import (
     BAConfig,
     WSConfig,
-    ba_evolve,
     degree_stats,
     power_iteration,
+    run_ba_condition,
+    run_ws_condition,
     snapshot,
     spectral_radius_ratio,
-    ws_rewire,
 )
-from netspectra.experiment import derive_seed
-from netspectra.metrics import average_runs, run_correlations, summarize_final
+from netspectra.metrics import run_correlations
 from netspectra.ws import ws_initialize
 from netspectra.cli import main
 
@@ -58,77 +58,57 @@ def assert_degree_bound(g, radius):
     assert math.sqrt(int(degs @ degs) / g.node_count) <= radius + BOUND_TOL
 
 
-def checked_snapshot(g, step):
-    """Snapshot a graph, asserting the degree bound on the measured radius."""
-    rec = snapshot(g, step)
-    radius = rec.lambda_ratio * degree_stats(g).k_avg
-    assert_degree_bound(g, radius)
-    return rec
+@pytest.fixture(scope="module")
+def checked_snapshots():
+    """Wrap the runners' snapshot with the degree-sum and degree-bound checks;
+    yields a one-item list counting the graphs checked."""
+    checked = [0]
+
+    def checked_snapshot(g, step, config=None):
+        rec = snapshot(g, step, config)
+        assert int(g.degree_array().sum()) == 2 * g.edge_count
+        assert_degree_bound(g, rec.lambda_ratio * degree_stats(g).k_avg)
+        checked[0] += 1
+        return rec
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("netspectra.experiment.snapshot", checked_snapshot)
+        yield checked
 
 
-def ba_series_checked(config, runs, master_seed):
-    """run_ba_condition's runs with the degree bound asserted at every
-    recorded step."""
-    series = []
-    for i in range(runs):
-        rng = np.random.default_rng(derive_seed(master_seed, i))
-        ts = []
-        ba_evolve(config, rng, lambda step, g: ts.append(checked_snapshot(g, step)))
-        series.append(ts)
-    return series
-
-
-def ws_series_checked(config, runs, master_seed):
-    """run_ws_condition's runs with conservation and the degree bound asserted
-    per event.
-
-    Returns the series plus, for each run, how many rewire events the
-    observer checked.
-    """
-    links = 4 * config.nodes_per_ring
-    series = []
-    checked_counts = []
-    for i in range(runs):
-        rng = np.random.default_rng(derive_seed(master_seed, i))
-        g = ws_initialize(config)
-        ts = [checked_snapshot(g, 0)]
-        checked = 0
-
-        def observe(step, graph):
-            nonlocal checked
-            assert graph.edge_count == links
-            assert sum(graph.degrees()) == 2 * links
-            ts.append(checked_snapshot(graph, step))
-            checked += 1
-
-        events = ws_rewire(g, config, rng, observe)
-        assert checked == sum(1 for e in events if e.new_edge is not None)
-        series.append(ts)
-        checked_counts.append(checked)
-    return series, checked_counts
+def run_checked(checked, run, config, runs, master_seed):
+    """``run(config, runs, master_seed)``'s summary and series, and its wall
+    time; fails if the run returns a record the wrapped snapshot did not
+    check."""
+    before = checked[0]
+    t0 = time.perf_counter()
+    summary, series = run(config, runs, master_seed)
+    elapsed = time.perf_counter() - t0
+    assert checked[0] - before == sum(len(ts) for ts in series)
+    return summary, series, elapsed
 
 
 @pytest.fixture(scope="module")
-def small_growth():
-    """links_per_node 2, 5, 90 at 100 nodes, 100 runs each, with wall time."""
-    t0 = time.perf_counter()
-    results = {}
-    for m, seed in SMALL_GROWTH_SEEDS.items():
-        series = ba_series_checked(BAConfig(3, 100, m), 100, seed)
-        results[m] = (average_runs(series), series)
-    return results, time.perf_counter() - t0
+def small_growth(checked_snapshots):
+    """links_per_node 2, 5, 90 at 100 nodes, 100 runs each, keyed by m."""
+    return {m: run_checked(checked_snapshots, run_ba_condition, BAConfig(3, 100, m),
+                           100, seed)
+            for m, seed in SMALL_GROWTH_SEEDS.items()}
 
 
 @pytest.fixture(scope="module")
-def rewire_sweep():
-    """Rewiring at N=50 for probabilities 0.5 and 1.0, 100 runs each, with
-    conservation asserted inside the observer at every event."""
-    t0 = time.perf_counter()
-    results = {}
-    for beta, seed in REWIRE_SWEEP_SEEDS.items():
-        series, checked_counts = ws_series_checked(WSConfig(50, beta), 100, seed)
-        results[beta] = (summarize_final(series), series, checked_counts)
-    return results, time.perf_counter() - t0
+def rewire_sweep(checked_snapshots):
+    """Rewiring at N=50 for probabilities 0.5 and 1.0, 100 runs each, keyed
+    by probability."""
+    return {beta: run_checked(checked_snapshots, run_ws_condition, WSConfig(50, beta), 100, seed)
+            for beta, seed in REWIRE_SWEEP_SEEDS.items()}
+
+
+def wall_times(results):
+    """Total wall time of a fixture's conditions, and one "key: time" per
+    condition."""
+    times = {key: elapsed for key, (_, _, elapsed) in results.items()}
+    return sum(times.values()), ", ".join(f"{k}: {t:.1f}s" for k, t in times.items())
 
 
 def test_01_radius_bounded_by_degree_extremes(small_growth, rewire_sweep):
@@ -142,8 +122,8 @@ def test_01_radius_bounded_by_degree_extremes(small_growth, rewire_sweep):
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"[criterion 1] PASS degree bound held on 1000 random graphs in "
-          f"{elapsed:.1f}s and on every model graph snapshotted by the "
-          f"checked observers (criteria 3, 4, 6, 7, 8)")
+          f"{elapsed:.1f}s and on every graph the runners snapshot "
+          f"(criteria 3, 4, 6, 7, 8)")
 
 
 def test_02_power_iteration_matches_moment_oracle():
@@ -166,27 +146,25 @@ def test_02_power_iteration_matches_moment_oracle():
 
 
 def test_03_small_network_growth_means(small_growth):
-    results, elapsed = small_growth
-    ratio2 = results[2][0].mean_lambda_ratio
-    cv2 = results[2][0].mean_cv
-    ratio5 = results[5][0].mean_lambda_ratio
-    ratio90 = results[90][0].mean_lambda_ratio
-    cv90 = results[90][0].mean_cv
+    ratio2 = small_growth[2][0].mean_lambda_ratio
+    cv2 = small_growth[2][0].mean_cv
+    ratio5 = small_growth[5][0].mean_lambda_ratio
+    ratio90 = small_growth[90][0].mean_lambda_ratio
+    cv90 = small_growth[90][0].mean_cv
     assert abs(ratio2 - 1.75) <= 0.10
     assert abs(cv2 - 0.97) <= 0.10
     assert abs(ratio5 - 1.45) <= 0.10
     assert abs(ratio90 - 1.00) <= 0.03
     assert abs(cv90 - 0.02) <= 0.02
+    elapsed, times = wall_times(small_growth)
     assert elapsed < 120.0
     print(f"[criterion 3] PASS m=2: {ratio2:.3f}/{cv2:.3f}, m=5: {ratio5:.3f}, "
-          f"m=90: {ratio90:.4f}/{cv90:.4f} ({elapsed:.1f}s)")
+          f"m=90: {ratio90:.4f}/{cv90:.4f} (m={times})")
 
 
-def test_04_large_network_growth_means():
-    t0 = time.perf_counter()
-    series = ba_series_checked(BAConfig(3, 1000, 2), 20, LARGE_GROWTH_SEED)
-    summary = average_runs(series)
-    elapsed = time.perf_counter() - t0
+def test_04_large_network_growth_means(checked_snapshots):
+    summary, _, elapsed = run_checked(checked_snapshots, run_ba_condition,
+                                      BAConfig(3, 1000, 2), 20, LARGE_GROWTH_SEED)
     assert abs(summary.mean_lambda_ratio - 2.63) <= 0.20
     assert abs(summary.mean_cv - 1.31) <= 0.15
     assert elapsed < 900.0
@@ -195,8 +173,7 @@ def test_04_large_network_growth_means():
 
 
 def test_05_growth_tracks_dispersion(small_growth):
-    results, _ = small_growth
-    summary, series = results[2]
+    summary, series, _ = small_growth[2]
     corr = summary.mean_correlation
     assert corr is not None
     assert corr >= 0.95
@@ -206,11 +183,12 @@ def test_05_growth_tracks_dispersion(small_growth):
           f"{len(series)} runs")
 
 
-def test_06_unrewired_lattice_is_exactly_regular():
+def test_06_unrewired_lattice_is_exactly_regular(checked_snapshots):
     config = WSConfig(50, 0.0)
     assert spectral_radius_ratio(ws_initialize(config)) == 1.0
-    series, checked_counts = ws_series_checked(config, 20, LATTICE_EXACT_SEED)
-    assert checked_counts == [0] * 20
+    _, series, _ = run_checked(checked_snapshots, run_ws_condition, config, 20,
+                               LATTICE_EXACT_SEED)
+    assert len(series) == 20
     for ts in series:
         assert len(ts) == 1
         assert ts[0].lambda_ratio == 1.0
@@ -219,17 +197,19 @@ def test_06_unrewired_lattice_is_exactly_regular():
 
 
 def test_07_rewired_lattice_means(rewire_sweep):
-    results, elapsed = rewire_sweep
-    means = {beta: results[beta][0].mean_lambda_ratio for beta in results}
+    means = {beta: summary.mean_lambda_ratio
+             for beta, (summary, _, _) in rewire_sweep.items()}
     assert abs(means[0.5] - 1.15) <= 0.05
     assert abs(means[1.0] - 1.25) <= 0.05
+    elapsed, times = wall_times(rewire_sweep)
     assert elapsed < 120.0
     print(f"[criterion 7] PASS beta=0.5: {means[0.5]:.4f}, beta=1.0: "
-          f"{means[1.0]:.4f} ({elapsed:.1f}s)")
+          f"{means[1.0]:.4f} (beta={times})")
 
 
-def test_08_rewiring_tracks_dispersion_every_run():
-    series, _ = ws_series_checked(WSConfig(50, 0.5), 20, REWIRE_CORR_SEED)
+def test_08_rewiring_tracks_dispersion_every_run(checked_snapshots):
+    _, series, _ = run_checked(checked_snapshots, run_ws_condition,
+                               WSConfig(50, 0.5), 20, REWIRE_CORR_SEED)
     corrs = run_correlations(series)
     assert all(c is not None for c in corrs)
     assert min(corrs) > 0.9
@@ -240,16 +220,17 @@ def test_08_rewiring_tracks_dispersion_every_run():
 
 
 def test_09_rewiring_conserves_links(rewire_sweep):
-    results, _ = rewire_sweep
-    for beta, (summary, series, checked_counts) in results.items():
-        assert summary.runs == 100
-        assert len(checked_counts) == 100
-        for count, ts in zip(checked_counts, series):
-            assert count > 0, f"a run at probability {beta} rewired nothing"
-            assert count == len(ts) - 1
-    total = sum(sum(counts) for _, _, counts in results.values())
-    print(f"[criterion 9] PASS observer asserted 200 links and degree sum 400 "
-          f"at each of {total} rewire events across all 200 sweep runs")
+    # The lattice is record 0 of a run, and each later record follows one
+    # completed rewire.
+    for beta, (summary, series, _) in rewire_sweep.items():
+        assert summary.runs == len(series) == 100
+        for ts in series:
+            assert len(ts) > 1, f"a run at probability {beta} rewired nothing"
+            assert [rec.step for rec in ts] == list(range(len(ts)))
+            assert all(rec.edge_count == 200 for rec in ts)
+    total = sum(len(ts) - 1 for _, series, _ in rewire_sweep.values() for ts in series)
+    print(f"[criterion 9] PASS 200 links in every record, and degree sum 400 "
+          f"checked, at each of {total} rewire events across all 200 sweep runs")
 
 
 def test_10_cli_outputs_are_reproducible(tmp_path):
