@@ -11,6 +11,12 @@ Exit codes: 0 success, 1 usage error or unwritable output, 2 unreadable or
 malformed input file, 3 power iteration failed to converge. ``main`` builds
 the solver settings that every command takes, maps every error to its code
 and prints it as one line on stderr.
+
+``main`` runs a condition's replicates in ``workers`` processes. The default
+of one keeps every run in the caller's process, where in-process hooks see
+it; ``entry``, behind ``python -m netspectra`` and the ``netspectra``
+script, asks for one per CPU the process may run on. No output depends on
+the count.
 """
 
 from __future__ import annotations
@@ -163,7 +169,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     _add_power_flags(p)
 
 
-def cmd_analyze(args: argparse.Namespace, power: PowerIterationConfig) -> int:
+def cmd_analyze(args: argparse.Namespace, power: PowerIterationConfig, workers: int) -> int:
     try:
         text = args.path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -203,7 +209,7 @@ def cmd_analyze(args: argparse.Namespace, power: PowerIterationConfig) -> int:
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace, power: PowerIterationConfig) -> int:
+def cmd_run(args: argparse.Namespace, power: PowerIterationConfig, workers: int) -> int:
     """``ba`` and ``ws``: one condition's time series and cross-run means."""
     config: BAConfig | WSConfig
     if args.command == "ba":
@@ -217,7 +223,7 @@ def cmd_run(args: argparse.Namespace, power: PowerIterationConfig) -> int:
         label = f"ring={config.nodes_per_ring} beta={config.rewiring_probability}"
         run = run_ws_condition
     seed = _master_seed(args)
-    summary, series = run(config, args.runs, seed, power)
+    summary, series = run(config, args.runs, seed, power, workers=workers)
 
     # Rewiring runs differ in length and have no per-step means, so their
     # time series file holds the first run only; the JSON carries the
@@ -242,7 +248,7 @@ def cmd_run(args: argparse.Namespace, power: PowerIterationConfig) -> int:
     return _finish(args.out, files, report)
 
 
-def cmd_sweep(args: argparse.Namespace, power: PowerIterationConfig) -> int:
+def cmd_sweep(args: argparse.Namespace, power: PowerIterationConfig, workers: int) -> int:
     """``sweep``: one condition per value of the swept parameter, a row each.
 
     The base config's swept field holds a placeholder that ``run_sweep``
@@ -270,7 +276,7 @@ def cmd_sweep(args: argparse.Namespace, power: PowerIterationConfig) -> int:
         base = WSConfig(nodes_per_ring=args.ring, rewiring_probability=0.0)
     sweep_conditions(base, values)  # every condition is checked before a seed is drawn
     seed = _master_seed(args)
-    rows = run_sweep(base, values, args.runs, seed, power)
+    rows = run_sweep(base, values, args.runs, seed, power, workers=workers)
 
     swept = SWEPT[type(base)]
     config = {k: v for k, v in dataclasses.asdict(base).items() if k != swept}
@@ -330,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None, *, workers: int = 1) -> int:
     args = build_parser().parse_args(argv)
     # The one map from errors to exit codes; each is reported in one line.
     try:
         power = PowerIterationConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
-        return args.func(args, power)
+        return args.func(args, power, workers)
     except _InputError as exc:
         message, code = str(exc), EXIT_INPUT
     except NotConvergedError as exc:
@@ -346,3 +352,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         message, code = f"error: cannot write output: {exc}", EXIT_USAGE
     print(message, file=sys.stderr)
     return code
+
+
+def entry() -> int:
+    """``main`` on the command line, with one worker per CPU this process may
+    run on (one where the platform cannot say)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return main(workers=len(affinity(0)) if affinity else 1)

@@ -8,12 +8,16 @@ which reports the starting graph and every later step to the observer as
 Reproducibility scheme: one master seed per experiment. Every run gets its
 own generator seeded from the master through a spawn key, so runs are
 independent streams, insensitive to execution order, and any single run can
-be reproduced in isolation. The generator is numpy's default PCG64.
+be reproduced in isolation. The generator is numpy's default PCG64. The
+runners' ``workers`` argument spreads a condition's runs over that many
+processes; records come back in run order, so every result is the same for
+any worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,22 +37,42 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+def _run_one(
+    evolve: Callable[..., Graph], config: BAConfig | WSConfig, master_seed: int,
+    power: PowerIterationConfig | None, i: int,
+) -> list[EvolutionRecord]:
+    """Run i: evolve on seed ``derive_seed(master_seed, i)``, snapshotting
+    every step the model reports."""
+    records: list[EvolutionRecord] = []
+    rng = np.random.default_rng(derive_seed(master_seed, i))
+    evolve(config, rng, lambda step, g: records.append(snapshot(g, step, power)))
+    return records
+
+
 def _run_series(
     evolve: Callable[..., Graph],
     config: BAConfig | WSConfig,
     runs: int,
     master_seed: int,
     power: PowerIterationConfig | None,
+    workers: int = 1,
 ) -> list[list[EvolutionRecord]]:
-    """Evolve ``runs`` graphs, run i on seed ``derive_seed(master_seed, i)``,
-    snapshotting every step the model reports."""
-    out: list[list[EvolutionRecord]] = []
-    for i in range(runs):
-        records: list[EvolutionRecord] = []
-        rng = np.random.default_rng(derive_seed(master_seed, i))
-        evolve(config, rng, lambda step, g: records.append(snapshot(g, step, power)))
-        out.append(records)
-    return out
+    """The records of runs 0 .. ``runs`` - 1, in run order.
+
+    With more than one worker (capped at ``runs``) the runs are mapped over a
+    pool of forked processes, an explicit ``fork`` on every Python version.
+    Results are taken in run order, so a failing run raises the error a
+    serial loop would; the pool is then stopped, and no worker outlives the
+    call.
+    """
+    run = functools.partial(_run_one, evolve, config, master_seed, power)
+    workers = min(workers, runs)
+    if workers <= 1:
+        return [run(i) for i in range(runs)]
+    import multiprocessing
+
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return list(pool.imap(run, range(runs)))
 
 
 def run_ba_condition(
@@ -56,13 +80,15 @@ def run_ba_condition(
     runs: int,
     master_seed: int,
     power: PowerIterationConfig | None = None,
+    *,
+    workers: int = 1,
 ) -> tuple[AveragedSummary, list[list[EvolutionRecord]]]:
     """One growth condition, averaged per step across runs.
 
     Growth runs share the step grid by construction, so per-step means are
     always available here.
     """
-    series = _run_series(ba_evolve, config, runs, master_seed, power)
+    series = _run_series(ba_evolve, config, runs, master_seed, power, workers)
     return average_runs(series), series
 
 
@@ -71,10 +97,12 @@ def run_ws_condition(
     runs: int,
     master_seed: int,
     power: PowerIterationConfig | None = None,
+    *,
+    workers: int = 1,
 ) -> tuple[AveragedSummary, list[list[EvolutionRecord]]]:
     """One rewiring condition. Runs complete different numbers of rewires, so
     only final-state means are reported."""
-    series = _run_series(ws_evolve, config, runs, master_seed, power)
+    series = _run_series(ws_evolve, config, runs, master_seed, power, workers)
     return summarize_final(series), series
 
 
@@ -116,6 +144,8 @@ def run_sweep(
     runs: int,
     master_seed: int,
     power: PowerIterationConfig | None = None,
+    *,
+    workers: int = 1,
 ) -> list[SweepRow]:
     """Run one condition per value of the swept parameter: links per node for
     growth, rewiring probability for the lattice.
@@ -129,7 +159,7 @@ def run_sweep(
     run = run_ba_condition if isinstance(base_config, BAConfig) else run_ws_condition
     rows: list[SweepRow] = []
     for i, (value, config) in enumerate(zip(values, conditions)):
-        summary, _ = run(config, runs, derive_seed(master_seed, i), power)
+        summary, _ = run(config, runs, derive_seed(master_seed, i), power, workers=workers)
         rows.append(
             SweepRow(
                 param=float(value),

@@ -176,20 +176,20 @@ def test_slow_sparse_solve_fails_after_one_attempt(iterate_calls):
     assert len(iterate_calls) == 1
 
 
-def test_shift_retry_can_fail_too():
+def test_nearly_bipartite_fails_on_a_budget_of_15():
     g = nearly_bipartite()
     with pytest.raises(NotConvergedError):
         power_iteration(g, PowerIterationConfig(max_iterations=15))
 
 
-def test_failed_retry_reports_unit_eigenvector():
+def test_failed_solve_reports_unit_eigenvector():
     with pytest.raises(NotConvergedError) as exc:
         power_iteration(nearly_bipartite(), PowerIterationConfig(max_iterations=15))
     vec = exc.value.result.principal_eigenvector
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_shift_changes_nothing_when_plain_converges():
+def test_nearly_bipartite_converges_unshifted_at_the_default_budget():
     result = power_iteration(nearly_bipartite())
     assert result.converged
     assert not result.shifted
