@@ -3,14 +3,14 @@
 Nodes are dense 0-based integer IDs assigned in creation order; self-loops
 and parallel edges are rejected. Each question about the graph is answered
 from one of three stores, each updated in place on every mutation. Edge
-membership, neighbours, the sorted edge list and the search that settles
-whether the edges form one component come from one private map per node,
+membership, neighbours, the sorted edge list and the search that keeps the
+count of edge components up to date come from one private map per node,
 from neighbour to edge number. The matrix the spectral solver multiplies by
 comes from the (source, destination) arc arrays, which hold both directions
 of every edge. Degrees, and the degree moments of ``degree_stats``, come from
-a degree array. The graph also caches the connectivity answer: a removal
-settles it by a search between the removed edge's endpoints, and a search of
-the whole graph runs only when an addition leaves it in doubt.
+a degree array. The graph also counts the components that hold edges; a
+mutation that may merge two or split one settles the count by a search
+between its edge's endpoints.
 """
 
 from __future__ import annotations
@@ -51,18 +51,16 @@ class Graph:
     order is insertion order only until the first removal. The degree array
     answers degrees, and ``degree_stats`` takes the degree moments from it.
 
-    Whether at most one component holds edges is cached as True, False or
-    unknown (None). Each mutation updates the flag from its endpoints' new
-    degrees: an edge between two isolated nodes starts a component, one that
-    touches an isolated node extends one, and one between two non-isolated
-    nodes may merge two. A removal that isolates an endpoint, or whose
-    endpoints still share a neighbour, splits nothing. Any other removal
-    from a connected graph splits it exactly when no path joins its
-    endpoints any more, which a search from both endpoints settles on the
-    spot, stopping where the two meet. So only an addition that may join
-    two components, or the removal of a lone edge from a graph whose edges
-    form several, leaves the flag unknown, and ``connected`` settles it by
-    one search of the whole graph.
+    ``_parts`` counts the components that hold edges, and each mutation
+    updates it from its endpoints. An edge between two isolated nodes starts
+    a component, and one that touches an isolated node extends one. An edge
+    between two nodes that have edges merges two exactly when no path joined
+    them before, which can only happen while there are several. A removal
+    that isolates both endpoints ends a component, and one that isolates
+    either, or whose endpoints still share a neighbour, splits nothing. Any
+    other removal splits one exactly when no path joins its endpoints any
+    more. Both questions are settled on the spot by a search from the two
+    endpoints that stops where they meet.
 
     ``warm_vector`` is the last converged power-iteration iterate on this
     graph while it was connected, or None (a new graph has none), and
@@ -77,7 +75,7 @@ class Graph:
         "_src",
         "_dst",
         "_deg",
-        "_connected",
+        "_parts",
         "warm_vector",
         "warm_radius",
     )
@@ -91,7 +89,7 @@ class Graph:
         self._src = np.zeros(_MIN_CAPACITY, dtype=np.intp)
         self._dst = np.zeros(_MIN_CAPACITY, dtype=np.intp)
         self._deg = np.zeros(max(node_count, _MIN_CAPACITY), dtype=np.int64)
-        self._connected: bool | None = True  # at most one component holds edges
+        self._parts = 0  # components that hold edges
         self.warm_vector: np.ndarray | None = None
         self.warm_radius = 0.0
 
@@ -128,13 +126,11 @@ class Graph:
         nv = self._adj[v]
         if v in nu:
             raise GraphError(f"duplicate edge {u}-{v}")
+        if not nu and not nv:
+            self._parts += 1
+        elif nu and nv and self._parts > 1 and not self._joined(u, v):
+            self._parts -= 1
         i = nu[v] = nv[u] = self._edge_count
-        du = len(nu)
-        dv = len(nv)
-        if du == 1 and dv == 1:
-            self._connected = i == 0
-        elif du > 1 and dv > 1 and not self._connected:
-            self._connected = None
         self._src = _grown(self._src, 2 * i + 2)
         self._dst = _grown(self._dst, 2 * i + 2)
         self._src[2 * i] = self._dst[2 * i + 1] = u
@@ -154,8 +150,6 @@ class Graph:
         if i is None:
             raise GraphError(f"edge {u}-{v} not present")
         del nv[u]
-        du = len(nu)
-        dv = len(nv)
         last = self._edge_count - 1
         if i != last:
             a = int(self._src[2 * last])
@@ -166,10 +160,10 @@ class Graph:
         self._deg[u] -= 1
         self._deg[v] -= 1
         self._edge_count = last
-        if du == 0 and dv == 0:
-            self._connected = True if last == 0 else None
-        elif du and dv and self._connected and nu.keys().isdisjoint(nv):
-            self._connected = self._joined(u, v)
+        if not nu and not nv:
+            self._parts -= 1
+        elif nu and nv and nu.keys().isdisjoint(nv) and not self._joined(u, v):
+            self._parts += 1
 
     def _joined(self, u: int, v: int) -> bool:
         """Whether a path joins ``u`` and ``v``: a breadth-first search from
@@ -207,16 +201,8 @@ class Graph:
 
     def connected(self) -> bool:
         """Whether at most one connected component holds edges; isolated
-        nodes do not count. Settles a cached unknown by one breadth-first
-        search from an endpoint of the first edge (a graph without edges is
-        never unknown)."""
-        if self._connected is None:
-            seen = frontier = {int(self._src[0])}
-            while frontier:
-                frontier = set().union(*(self._adj[a] for a in frontier)) - seen
-                seen |= frontier
-            self._connected = len(seen) == int(np.count_nonzero(self.degree_array()))
-        return self._connected
+        nodes do not count. Read from the component count, with no search."""
+        return self._parts <= 1
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and destination arrays of both directions of every edge

@@ -370,17 +370,17 @@ def _assert_k_sd_is_exact(g):
 def test_incremental_arrays_track_random_mutations():
     # arcs, edge numbers, neighbor lists, edge membership, degree array and
     # degree moments against recomputation from one another after every add,
-    # remove and node arrival; connectivity at random steps only, so that the
-    # cached flag also goes through mutations while unknown and while known
-    # to be false
+    # remove and node arrival; the component count against a search at random
+    # steps, which must find both several components (where an addition
+    # between two nodes with edges searches) and one
     rng = np.random.default_rng(20240611)
     ask = np.random.default_rng(7)
     pairs = np.random.default_rng(8)
     searched = cached = removed_last = moved_last = 0
     for step in range(3000):
         if step % 1500 == 0:
-            # most unknown flags arise while the graph is sparse, so the
-            # sequence starts twice from a fresh graph
+            # most graphs of several components arise while the graph is
+            # sparse, so the sequence starts twice from a fresh graph
             g = Graph(5)
         r = rng.random()
         if r < 0.03:
@@ -420,9 +420,10 @@ def test_incremental_arrays_track_random_mutations():
         assert stats.k_sd == pytest.approx(k_sd, abs=1e-12)
         _assert_k_sd_is_exact(g)
         if ask.random() < 0.2:
-            searched += g._connected is None
-            cached += g._connected is False
-            assert g.connected() == (edge_components_by_search(g) <= 1)
+            searched += g._parts > 1
+            cached += g._parts == 1
+            assert g._parts == edge_components_by_search(g)
+            assert g.connected() == (g._parts <= 1)
     assert searched > 20 and cached > 0
     assert removed_last > 0 and moved_last > 0
 
@@ -461,13 +462,14 @@ def test_removal_splits_only_at_a_bridge(build, edge, components):
     g = build()
     g.remove_edge(*edge)
     assert edge_components_by_search(g) == components
-    # the removal settles the flag itself; connected() has nothing to search
-    assert g._connected is (components == 1)
+    # the removal counts the split itself; connected() has nothing to search
+    assert g._parts == components
     assert g.connected() == (components == 1)
-    # the connectivity flag stays right for the removals that follow
+    # the component count stays exact for the removals that follow
     for u, v in sorted(g.edges()):
         g.remove_edge(u, v)
-        assert g.connected() == (edge_components_by_search(g) <= 1)
+        assert g._parts == edge_components_by_search(g)
+        assert g.connected() == (g._parts <= 1)
 
 
 def test_edge_components_split_and_merge():

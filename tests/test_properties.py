@@ -1,6 +1,6 @@
-"""Property tests: edge-list round trips, the CLI's exit-code contract, the
-solver's radius on graphs small enough for its dense steps and its use of
-small budgets."""
+"""Property tests: edge-list round trips, the graph's count of edge
+components, the CLI's exit-code contract, the solver's radius on graphs small
+enough for its dense steps and its use of small budgets."""
 
 import contextlib
 import io
@@ -26,7 +26,7 @@ from netspectra import (  # noqa: E402
 )
 from netspectra.cli import main  # noqa: E402
 
-from helpers import adjacency_matrix, erdos_renyi  # noqa: E402
+from helpers import adjacency_matrix, edge_components_by_search, erdos_renyi  # noqa: E402
 
 
 @st.composite
@@ -60,6 +60,24 @@ def test_edge_order_comments_and_blank_lines_do_not_matter(g, random, extra):
     lines = body + extra
     random.shuffle(lines)
     assert parse_edge_list("\n".join([header, *lines])) == g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60))
+def test_component_count_is_exact_after_every_mutation(n, ops):
+    # each pair toggles its edge: removals split and end components,
+    # additions start, extend and merge them
+    g = Graph(n)
+    for u, v in ops:
+        u, v = u % n, v % n
+        if u == v:
+            continue
+        if g.has_edge(u, v):
+            g.remove_edge(u, v)
+        else:
+            g.add_edge(u, v)
+        assert g._parts == edge_components_by_search(g)
+        assert g.connected() == (g._parts <= 1)
 
 
 @settings(max_examples=60, deadline=None)

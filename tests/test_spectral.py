@@ -26,6 +26,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    edge_components_by_search,
     erdos_renyi,
     fresh_copy,
     nearly_bipartite,
@@ -311,16 +312,38 @@ def test_solve_after_minor_component_overtakes():
 
 def test_run_that_stays_disconnected_solves_cold():
     # This seed graph has two components, and one link per arrival never
-    # joins them. The first solve's search settles the graph's connectivity
-    # flag as False, and each arrival keeps it False with no search; every
-    # solve must start from all-ones, as on a fresh copy.
+    # joins them (it touches a new node, so it needs no search); every solve
+    # must start from all-ones, as on a fresh copy.
     def check(step, g):
-        assert g._connected is (None if step == 39 else False)
+        assert g._parts == edge_components_by_search(g) == 2
         warm = power_iteration(g)
         cold = power_iteration(fresh_copy(g))
         assert (warm.spectral_radius, warm.iterations) == (cold.spectral_radius, cold.iterations)
 
     ba_evolve(BAConfig(40, 120, 1), np.random.default_rng(0), check)
+
+
+@pytest.mark.parametrize(
+    "seed, counts", [(1, {2, 3}), (0, {1, 2})], ids=["stays-split", "merges"]
+)
+def test_merges_by_addition_keep_the_count_exact(seed, counts):
+    # Two links per arrival can join two components of the seed graph, and
+    # the addition that does must count the merge by a search between its
+    # endpoints. Seed 1 stays at two or three components for every step;
+    # seed 0 becomes connected at its third step. While several components
+    # hold edges, every solve must start from all-ones, as on a fresh copy.
+    seen = set()
+
+    def check(step, g):
+        assert g._parts == edge_components_by_search(g)
+        seen.add(g._parts)
+        warm = power_iteration(g)
+        if g._parts > 1:
+            cold = power_iteration(fresh_copy(g))
+            assert (warm.spectral_radius, warm.iterations) == (cold.spectral_radius, cold.iterations)
+
+    ba_evolve(BAConfig(40, 120, 2), np.random.default_rng(seed), check)
+    assert seen == counts
 
 
 PINNED_GRAPHS = {

@@ -165,17 +165,13 @@ def test_evolve_reports_lattice_then_each_completed_rewire():
 
 
 def test_connectivity_flag_is_settled_after_every_rewire():
-    # once the lattice's flag is known, each rewire's removal settles it on
-    # the spot, so no solve after the first has to search the whole graph
-    # (no rewire of this run splits the graph, so no addition may join two
-    # components)
+    # the lattice, built ring by ring, and each rewire's removal and addition
+    # keep the graph's component count exact, so no solve has to search
     rewires = []
 
     def observe(step, g):
-        if step == 0:
-            g.connected()  # the lattice, built ring by ring, is searched once
-        assert isinstance(g._connected, bool)
-        assert g._connected == (edge_components_by_search(g) <= 1)
+        assert g._parts == edge_components_by_search(g)
+        assert g.connected() == (g._parts <= 1)
         rewires.append(step)
 
     ws_evolve(WSConfig(50, 0.5), np.random.default_rng(1), observe)
