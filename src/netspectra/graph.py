@@ -62,11 +62,12 @@ class Graph:
     more. Both questions are settled on the spot by a search from the two
     endpoints that stops where they meet.
 
-    ``warm_vector`` is the last converged power-iteration iterate on this
-    graph while it was connected, or None (a new graph has none), and
-    ``warm_radius`` the spectral radius of the solve that stored it.
+    ``warm`` is None (a new graph has none) or the pair (vector, radius) of
+    the last converged power-iteration solve on this graph while it was
+    connected: its normalized iterate and its spectral radius.
     ``power_iteration`` starts the next solve from the vector, padding nodes
-    added since with the help of the radius.
+    added since with the help of the radius, and clears the pair after a
+    solve on a disconnected graph.
     """
 
     __slots__ = (
@@ -76,8 +77,7 @@ class Graph:
         "_dst",
         "_deg",
         "_parts",
-        "warm_vector",
-        "warm_radius",
+        "warm",
     )
 
     def __init__(self, node_count: int = 0) -> None:
@@ -90,8 +90,7 @@ class Graph:
         self._dst = np.zeros(_MIN_CAPACITY, dtype=np.intp)
         self._deg = np.zeros(max(node_count, _MIN_CAPACITY), dtype=np.int64)
         self._parts = 0  # components that hold edges
-        self.warm_vector: np.ndarray | None = None
-        self.warm_radius = 0.0
+        self.warm: tuple[np.ndarray, float] | None = None
 
     @property
     def node_count(self) -> int:

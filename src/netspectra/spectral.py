@@ -25,10 +25,11 @@ therefore starts from the graph's previous converged iterate. A node added
 since takes the value the eigen-equation gives it from its neighbours in that
 iterate: their sum over the radius of the solve that stored it. A graph's
 first solve and any solve on a disconnected graph start from the all-ones
-vector, and so does a solve whose warm start is zero on every endpoint of
-every edge (edges that moved onto nodes isolated at the last solve). Here a
-graph counts as connected when one component holds all its edges; isolated
-nodes do not count.
+vector, and so does a solve whose warm start squares to zero on every
+endpoint of every edge (edges that moved onto nodes isolated at the last
+solve). That rule is applied before the first multiply, so each solve makes
+one attempt from one start. Here a graph counts as connected when one
+component holds all its edges; isolated nodes do not count.
 """
 
 from __future__ import annotations
@@ -92,10 +93,11 @@ class SpectralResult:
     benchmark's probe (``perfbench/probe.py``) reads it for its
     ``spectral.shifted`` count.
 
-    ``iterations`` counts multiplies by the adjacency matrix from the solve's
-    starting vector: the graph's previous converged iterate (a warm start) or
-    the all-ones vector. A step with a dense power counts as that many
-    multiplies: 8 with the eighth power, 4 with the fourth.
+    ``iterations`` counts every multiply by the adjacency matrix the solve
+    made, all from its one starting vector: the graph's previous converged
+    iterate (a warm start) or the all-ones vector. A step with a dense power
+    counts as that many multiplies: 8 with the eighth power, 4 with the
+    fourth.
 
     ``principal_eigenvector`` is the final iterate, normalized. The estimates
     converge to the spectral radius for any graph, but on a bipartite graph
@@ -165,6 +167,14 @@ def _iterate(
     another step would pass ``max_iterations``, so a failing solve has taken
     ``max_iterations - max_iterations % p`` multiplies; a budget of 1 holds
     one estimate and never converges.
+
+    Precondition: ``x`` is nonnegative and x_j ** 2 is nonzero for some arc
+    source j, as ``_start_vector`` ensures. Every product is then
+    nonnegative and, rounding being monotone, its squared norm is at least
+    x_j ** 2 for every arc source j: A x is at least x_j at each neighbour
+    of j, and A**4 x or A**8 x at least x_j at j itself, the diagonal of
+    those powers being at least 1 on a node with edges. So no product
+    vanishes, and every exit returns a real iterate.
     """
     n = len(x)
     budget = config.max_iterations
@@ -186,11 +196,6 @@ def _iterate(
             y = m_dot(x)
         iterations += power
         yy = float(y.dot(y))
-        if yy == 0.0:
-            # A annihilated the iterate: the graph has no edges, or the
-            # start has no weight on any endpoint of one (power_iteration
-            # then restarts from all-ones).
-            return SpectralResult(0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0)
         prev_norm, norm = norm, math.sqrt(yy / xx) if m_dot is None else (yy / xx) ** exponent
         residual = abs(norm - prev_norm)
         if residual <= tolerance:
@@ -203,46 +208,52 @@ def _iterate(
 
 
 def _start_vector(g: Graph, connected: bool) -> np.ndarray:
-    """The graph's last converged iterate, with each node added since padded
-    from the eigen-equation; all-ones when the graph has none or is not
-    connected.
+    """The start of the next solve on ``g``, which has edges: the graph's last
+    converged iterate, with each node added since padded from the
+    eigen-equation; all-ones when the graph has none, is not connected, or
+    that iterate squares to zero on every arc source.
 
     A new node v gets sum(x_u for its neighbours u already in the iterate),
     added in ascending node order so that the padding depends only on the
     graph, divided by the radius of the solve that stored it: the value that
     makes row v of A x = radius * x hold on the old entries.
+
+    The last test is ``_iterate``'s precondition: the start is nonnegative,
+    so the first product's squared norm is at least x_j ** 2 for any arc
+    source j, and a start that passes it cannot vanish. The first source is
+    tried alone, in O(1), before all of them.
     """
     n = g.node_count
-    warm = g.warm_vector
-    if warm is None or not connected:
-        return np.ones(n, dtype=np.float64)
-    k = len(warm)
-    if k == n:
-        return warm
-    x = np.empty(n, dtype=np.float64)
-    x[:k] = warm
-    for v in range(k, n):
-        x[v] = sum(warm[u] for u in g.neighbors(v) if u < k) / g.warm_radius
-    return x
+    if g.warm is not None and connected:
+        warm, radius = g.warm
+        k = len(warm)
+        x = warm if k == n else np.concatenate((warm, np.empty(n - k)))
+        for v in range(k, n):
+            x[v] = sum(warm[u] for u in g.neighbors(v) if u < k) / radius
+        src = g.arcs()[0]
+        if x[src[0]] ** 2 or (x[src] ** 2).any():
+            return x
+    return np.ones(n, dtype=np.float64)
 
 
 def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> SpectralResult:
     """Largest adjacency eigenvalue of ``g`` and its eigenvector.
 
-    Starts from the graph's last converged iterate (``Graph.warm_vector``),
-    or from the all-ones vector on the graph's first solve, whenever the
-    graph is disconnected, and again when the warm start is zero on every
-    endpoint of every edge, so that the first multiply annihilates it. The
-    factor by which one multiply grows the iterate's Euclidean norm
-    converges to the spectral radius, and iteration stops when two
-    consecutive factors agree to within the tolerance. For symmetric A the
-    factors only rise, but slowly when the most negative eigenvalue nearly
-    matches the radius in magnitude. The converged iterate of a connected
-    graph, normalized, becomes its new ``warm_vector``, and the radius its
-    ``warm_radius``.
+    Starts from the graph's last converged iterate (``Graph.warm``), or
+    from the all-ones vector on the graph's first solve, whenever the graph
+    is disconnected, and when the warm start squares to zero on every
+    endpoint of every edge (``_start_vector``). The factor by which one
+    multiply grows the iterate's Euclidean norm converges to the spectral
+    radius, and iteration stops when two consecutive factors agree to
+    within the tolerance. For symmetric A the factors only rise, but slowly
+    when the most negative eigenvalue nearly matches the radius in
+    magnitude. The converged iterate of a connected graph, normalized, and
+    the radius become its new ``warm`` pair; a disconnected graph's is
+    cleared.
 
-    Raises NotConvergedError when the solve exhausts its budget. It carries
-    that solve's result, whose iterations never exceed ``max_iterations``.
+    A solve makes one attempt, one ``_iterate`` call. Raises
+    NotConvergedError when it exhausts its budget. The error carries that
+    attempt's result, whose iterations never exceed ``max_iterations``.
     """
     if config is None:
         config = PowerIterationConfig()
@@ -263,18 +274,13 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
     # component overtakes: warm starts chain only across connected graphs.
     connected = g.connected()
     result = _iterate(src, dst, _start_vector(g, connected), config)
-    if result.spectral_radius == 0.0:
-        # A warm start with no weight on any edge's endpoints: the edges
-        # moved to nodes the stored iterate is zero on (isolated at its solve).
-        result = _iterate(src, dst, np.ones(n, dtype=np.float64), config)
     if not result.converged:
         raise NotConvergedError(
             f"power iteration did not converge within {config.max_iterations} "
             f"iterations (last residual {result.residual:.3e})",
             result=result,
         )
-    g.warm_vector = result.principal_eigenvector.copy() if connected else None
-    g.warm_radius = result.spectral_radius
+    g.warm = (result.principal_eigenvector.copy(), result.spectral_radius) if connected else None
     return result
 
 

@@ -199,8 +199,6 @@ def reference_iterate(
             y = m @ x
         iterations += step
         yy = y.dot(y)
-        if yy == 0.0:
-            return 0.0, np.ones(n) / np.sqrt(n), iterations, True, 0.0
         norm = math.sqrt(yy / xx) if step == 1 else (yy / xx) ** (0.5 / step)
         if prev_norm >= 0.0:
             residual = abs(norm - prev_norm)

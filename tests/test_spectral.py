@@ -601,7 +601,7 @@ def test_new_nodes_start_from_the_eigen_equation():
         g.add_edge(u, v)
     solved = power_iteration(g)
     vec, radius = solved.principal_eigenvector, solved.spectral_radius
-    assert g.warm_radius == radius
+    assert g.warm[1] == radius
     a = g.add_node()
     g.add_edge(a, 0)
     g.add_edge(a, 3)
@@ -615,7 +615,7 @@ def test_new_nodes_start_from_the_eigen_equation():
     expected = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
     assert power_iteration(g).spectral_radius == pytest.approx(expected, abs=1e-8)
     h = fresh_copy(g)
-    assert h.warm_vector is None and h.warm_radius == 0.0
+    assert h.warm is None
     assert np.array_equal(_start_vector(h, connected=True), np.ones(7))
 
 
@@ -627,9 +627,9 @@ def test_padding_depends_only_on_the_graph():
     graphs = []
     for order in ((3, 11, 19), (19, 11, 3)):
         g = Graph(20)
-        g.warm_vector = np.zeros(20)
-        g.warm_vector[[3, 11, 19]] = (0.1, 0.2, 0.3)
-        g.warm_radius = 1.0
+        warm = np.zeros(20)
+        warm[[3, 11, 19]] = (0.1, 0.2, 0.3)
+        g.warm = (warm, 1.0)
         v = g.add_node()
         for u in order:
             g.add_edge(v, u)
@@ -641,22 +641,32 @@ def test_padding_depends_only_on_the_graph():
 
 
 @pytest.mark.parametrize(
-    "n, moved", [(4, ((2, 3),)), (200, ((150, 151), (151, 152)))], ids=["dense", "sparse"]
+    "n, moved, underflow",
+    [(4, ((2, 3),), False), (200, ((150, 151), (151, 152)), False), (6, ((4, 5),), True)],
+    ids=["dense", "sparse", "underflow"],
 )
-def test_warm_start_with_no_weight_on_any_edge_restarts_cold(n, moved):
+def test_warm_start_with_no_weight_on_any_edge_restarts_cold(n, moved, underflow, iterate_calls):
     # The solve on edge 0-1 stores an iterate that is zero on every other
     # node. Once the only edges join such nodes the graph is still connected
-    # (isolated nodes do not count), but the first multiply annihilates the
-    # warm start, which must not read as radius 0.
+    # (isolated nodes do not count), but the first multiply would annihilate
+    # the warm start, so the solve must start cold, in its one attempt.
     g = Graph(n)
     g.add_edge(0, 1)
     power_iteration(g)
     g.remove_edge(0, 1)
     for u, v in moved:
         g.add_edge(u, v)
+    if underflow:
+        # Weight on both endpoints of the one edge, but too small to square:
+        # the first product's squared norm would still be zero.
+        x = np.zeros(n)
+        x[[4, 5]] = 1e-170
+        g.warm = (x, 1.0)
     assert g.connected()
+    iterate_calls.clear()
     warm = power_iteration(g)
     cold = power_iteration(fresh_copy(g))
+    assert len(iterate_calls) == 2
     assert warm.converged
     assert warm.spectral_radius == pytest.approx(math.sqrt(len(moved)), abs=1e-9)
     assert (warm.spectral_radius, warm.iterations) == (cold.spectral_radius, cold.iterations)
@@ -664,12 +674,11 @@ def test_warm_start_with_no_weight_on_any_edge_restarts_cold(n, moved):
 
 # (graph, start, max_iterations, shift) cases for the bit-identity guard:
 # dense and sparse graphs, warm (non-constant) starts, A + I (shift 1:
-# _iterate gets loop arcs, the oracle the shift), rescaling on
-# both kernels (M4 steps on rescaled-dense, whose M8 is not exact) and an
-# edgeless graph's zero-norm guard. The handover-* cases, named before a
-# solve kept one kernel throughout, take budgets of 4 to 17: single sparse
-# multiplies below 16 and dense steps from 16, where the solve stops once
-# another step would pass the budget.
+# _iterate gets loop arcs, the oracle the shift) and rescaling on both
+# kernels (M4 steps on rescaled-dense, whose M8 is not exact). The
+# handover-* cases, named before a solve kept one kernel throughout, take
+# budgets of 4 to 17: single sparse multiplies below 16 and dense steps from
+# 16, where the solve stops once another step would pass the budget.
 def _iterate_cases():
     rng = np.random.default_rng(31)
     ws = ws_evolve(WSConfig(50, 0.5), np.random.default_rng(32))
@@ -685,7 +694,6 @@ def _iterate_cases():
         "sparse-shifted": (ba, np.ones(300), 100_000, 1.0),
         "rescaled-dense": (joined_cliques(30, 29), np.ones(59), 100_000, 0.0),
         "rescaled-sparse": (joined_cliques(65, 64), np.ones(129), 100_000, 0.0),
-        "edgeless": (Graph(6), np.ones(6), 100_000, 0.0),
     }
     for budget in range(4, 18):
         cases[f"handover-{budget}"] = (ws, np.ones(100), budget, 0.0)
