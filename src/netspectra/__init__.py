@@ -8,7 +8,7 @@ grows by preferential attachment or is rewired from a regular lattice.
 from .ba import BAConfig, ba_evolve
 from .errors import EdgeListParseError, GraphError, NetspectraError, NotConvergedError
 from .experiment import SweepRow, run_ba_condition, run_sweep, run_ws_condition
-from .graph import DegreeStats, Graph, degree_stats, parse_edge_list, write_edge_list
+from .graph import DegreeStats, Graph, degree_stats, parse_edge_list
 from .metrics import (
     AveragedSummary,
     EvolutionRecord,
@@ -50,7 +50,6 @@ __all__ = [
     "run_ws_condition",
     "snapshot",
     "spectral_radius_ratio",
-    "write_edge_list",
     "ws_evolve",
     "ws_rewire",
 ]

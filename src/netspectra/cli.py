@@ -12,20 +12,21 @@ malformed input file, 3 power iteration failed to converge. ``main`` builds
 the solver settings that every command takes, maps every error to its code
 and prints it as one line on stderr.
 
-``main`` runs a condition's replicates in ``workers`` processes. The default
-of one keeps every run in the caller's process, where in-process hooks see
-it; ``entry``, behind ``python -m netspectra`` and the ``netspectra``
-script, asks for one per CPU the process may run on. No output depends on
-the count.
+``main`` runs a condition's replicates in ``workers`` processes, each a
+forked child running a fixed round-robin share of the runs while the
+caller waits. The default of one keeps every run in the caller's process,
+where in-process hooks see it; ``entry``, behind ``python -m netspectra``
+and the ``netspectra`` script, asks for one per CPU the process may run on
+(``os.sched_getaffinity``). No output depends on the count.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
-import secrets
 import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -132,6 +133,8 @@ def _master_seed(args: argparse.Namespace) -> int:
         raise ValueError(f"runs must be >= 1, got {args.runs}")
     seed = args.seed
     if seed is None:
+        import secrets  # only a command without --seed pays for its import
+
         seed = secrets.randbits(63)
         print(f"master seed (generated): {seed}")
     return seed
@@ -356,6 +359,12 @@ def main(argv: Sequence[str] | None = None, *, workers: int = 1) -> int:
 
 def entry() -> int:
     """``main`` on the command line, with one worker per CPU this process may
-    run on (one where the platform cannot say)."""
+    run on (one where the platform cannot say).
+
+    It first freezes every object that start-up created, the imported modules
+    above all (``gc.freeze``): the cyclic collector of this process and of
+    each forked worker then no longer walks them, and a worker does not copy
+    the pages that walk would write to."""
+    gc.freeze()
     affinity = getattr(os, "sched_getaffinity", None)
     return main(workers=len(affinity(0)) if affinity else 1)

@@ -9,15 +9,17 @@ Reproducibility scheme: one master seed per experiment. Every run gets its
 own generator seeded from the master through a spawn key, so runs are
 independent streams, insensitive to execution order, and any single run can
 be reproduced in isolation. The generator is numpy's default PCG64. The
-runners' ``workers`` argument spreads a condition's runs over that many
-processes; records come back in run order, so every result is the same for
-any worker count.
+runners' ``workers`` argument splits a condition's runs into that many fixed
+round-robin shares, each run by one forked child; records come back in run
+order, so every result is the same for any worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
+import os
+import pickle
+import signal
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -59,20 +61,55 @@ def _run_series(
 ) -> list[list[EvolutionRecord]]:
     """The records of runs 0 .. ``runs`` - 1, in run order.
 
-    With more than one worker (capped at ``runs``) the runs are mapped over a
-    pool of forked processes, an explicit ``fork`` on every Python version.
-    Results are taken in run order, so a failing run raises the error a
-    serial loop would; the pool is then stopped, and no worker outlives the
-    call.
+    With more than one worker (capped at ``runs``), child ``w`` of that many
+    forked children runs the fixed share ``range(w, runs, workers)`` in order
+    and stops at its first failure; the caller runs none. The child writes
+    ``{run index: records or exception}`` to its own pipe and leaves by
+    ``os._exit(0)`` from a ``finally``, so it never returns into the caller's
+    stack or flushes its stdio. The caller reads every pipe to the end, then
+    reaps the children. Every run below the first failing one has then run,
+    so the lowest-numbered exception sent is the one a serial loop would
+    raise, and it is raised. A child that exits with a nonzero status (killed,
+    say) or sends nothing raises RuntimeError naming every child's exit
+    status. No child outlives the call: if the pipes were not all read, every
+    child is killed before it is reaped. A child keeps no read end of its own
+    pipe, so one whose caller was killed fails its write and exits.
     """
-    run = functools.partial(_run_one, evolve, config, master_seed, power)
-    workers = min(workers, runs)
-    if workers <= 1:
-        return [run(i) for i in range(runs)]
-    import multiprocessing
-
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return list(pool.imap(run, range(runs)))
+    if (workers := min(workers, runs)) <= 1:
+        return [_run_one(evolve, config, master_seed, power, i) for i in range(runs)]
+    pipes = {}  # child pid -> the read end of its pipe
+    sent: list[bytes] | None = None
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(r)  # a write then fails, not blocks, if the caller dies
+                    results: dict[int, list[EvolutionRecord] | Exception] = {}
+                    try:
+                        for i in range(w, runs, workers):
+                            results[i] = _run_one(evolve, config, master_seed, power, i)
+                    except Exception as exc:
+                        results[i] = exc
+                    with open(wr, "wb") as pipe:
+                        pipe.write(pickle.dumps(results))
+                finally:
+                    os._exit(0)
+            os.close(wr)
+            pipes[pid] = open(r, "rb")
+        sent = [pipe.read() for pipe in pipes.values()]
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            if sent is None:
+                os.kill(pid, signal.SIGKILL)
+        status = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pipes}
+    if any(status.values()) or not all(sent):
+        raise RuntimeError(f"a worker exited without sending its runs: exit statuses {status}")
+    results = {i: x for data in sent for i, x in pickle.loads(data).items()}
+    if failed := [i for i, x in results.items() if isinstance(x, Exception)]:
+        raise results[min(failed)]
+    return [results[i] for i in range(runs)]
 
 
 def run_ba_condition(

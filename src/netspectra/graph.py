@@ -214,11 +214,6 @@ class Graph:
         for u, nu in enumerate(self._adj):
             yield from ((u, v) for v in sorted(nu) if v > u)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return [a.keys() for a in self._adj] == [b.keys() for b in other._adj]
-
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 
@@ -346,10 +341,3 @@ def parse_edge_list(text: str) -> Graph:
         except GraphError as exc:
             raise EdgeListParseError(str(exc), line_no) from None
     return g
-
-
-def write_edge_list(g: Graph) -> str:
-    """Serialize ``g`` to edge-list text; parse_edge_list(write_edge_list(g)) == g."""
-    lines = [f"# nodes: {g.node_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

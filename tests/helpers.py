@@ -1,5 +1,6 @@
-"""Shared graph builders, an independent spectral radius oracle and frozen
-copies of earlier solver and selection loops for tests."""
+"""Shared graph builders, edge-list writing and graph comparison, an
+independent spectral radius oracle and frozen copies of earlier solver and
+selection loops for tests."""
 
 from __future__ import annotations
 
@@ -8,6 +9,23 @@ import math
 import numpy as np
 
 from netspectra import Graph, GraphError
+
+
+def same_graph(a: Graph, b: Graph) -> bool:
+    """Whether ``a`` and ``b`` have the same nodes and the same neighbours
+    at every node, whatever order their edges were added in."""
+    return [a.neighbors(u) for u in range(a.node_count)] == [
+        b.neighbors(u) for u in range(b.node_count)
+    ]
+
+
+def write_edge_list(g: Graph) -> str:
+    """Edge-list text that ``parse_edge_list`` (and so ``analyze``) reads
+    back as ``g``: a ``# nodes:`` header, then each edge once as ``u v``
+    with u < v, in sorted order."""
+    lines = [f"# nodes: {g.node_count}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
 
 
 def cycle_graph(n: int) -> Graph:

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from netspectra import Graph, GraphError, parse_edge_list, snapshot, write_edge_list
+from netspectra import Graph, GraphError, parse_edge_list, snapshot
 from netspectra import cli
 from netspectra.cli import main
 
-from helpers import nearly_bipartite, path_graph, star_graph
+from helpers import nearly_bipartite, path_graph, star_graph, write_edge_list
 
 
 def write_graph(tmp_path, g, name="graph.txt"):

@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 
 import netspectra
-from netspectra import BAConfig, ba_evolve, write_edge_list
+from netspectra import BAConfig, ba_evolve
 from netspectra.cli import main
+
+from helpers import write_edge_list
 
 # Which solver kernel each command gates: every solve of the first four
 # commands is on at most 128 nodes, where steps multiply by the dense M8 =

@@ -11,7 +11,7 @@ from netspectra import (
 from netspectra.graph import degree_stats
 from netspectra.ws import _nth_outside, initial_edges, ws_initialize
 
-from helpers import edge_components_by_search
+from helpers import edge_components_by_search, same_graph
 
 
 def test_config_validation():
@@ -60,7 +60,7 @@ def test_zero_probability_is_a_no_op():
     rng = np.random.default_rng(5)
     events = ws_rewire(g, cfg, rng)
     assert events == []
-    assert g == before
+    assert same_graph(g, before)
     # the sweep must not consume randomness either
     assert rng.random() == np.random.default_rng(5).random()
 
@@ -139,7 +139,7 @@ def test_rewire_reproducible():
     e1 = ws_rewire(g1, cfg, np.random.default_rng(11))
     e2 = ws_rewire(g2, cfg, np.random.default_rng(11))
     assert e1 == e2
-    assert g1 == g2
+    assert same_graph(g1, g2)
 
 
 def test_rewire_rejects_wrong_sized_graph():
@@ -182,7 +182,7 @@ def test_evolve_without_observer_matches_rewire():
     cfg = WSConfig(nodes_per_ring=15, rewiring_probability=0.4)
     g = ws_initialize(cfg)
     ws_rewire(g, cfg, np.random.default_rng(11))
-    assert ws_evolve(cfg, np.random.default_rng(11)) == g
+    assert same_graph(ws_evolve(cfg, np.random.default_rng(11)), g)
 
 
 def test_nth_outside_matches_candidate_list():
@@ -223,4 +223,6 @@ def test_rewire_draws_match_candidate_list_reference(ring, beta, seed):
     cfg = WSConfig(nodes_per_ring=ring, rewiring_probability=beta)
     g = ws_initialize(cfg)
     events = ws_rewire(g, cfg, np.random.default_rng(seed))
-    assert (g, events) == reference_rewire(cfg, np.random.default_rng(seed))
+    expected_g, expected_events = reference_rewire(cfg, np.random.default_rng(seed))
+    assert events == expected_events
+    assert same_graph(g, expected_g)
