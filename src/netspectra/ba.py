@@ -98,22 +98,20 @@ def select_targets(g: Graph, links: int, rng: np.random.Generator) -> set[int]:
 def ba_evolve(
     config: BAConfig,
     rng: np.random.Generator,
-    observer: Observer | None = None,
+    observer: Observer = lambda step, graph: None,
 ) -> Graph:
     """Grow a network to ``config.total_nodes`` and return it.
 
     ``observer`` is called after the seed wiring with step ``initial_nodes - 1``
     and then after each arrival with the new node's ID as the step, so the
-    step doubles as the highest node ID present.
+    step doubles as the highest node ID present. By default it does nothing.
     """
     g = ba_initialize(config.initial_nodes, rng)
-    if observer is not None:
-        observer(config.initial_nodes - 1, g)
+    observer(config.initial_nodes - 1, g)
     for step in range(config.initial_nodes, config.total_nodes):
         targets = select_targets(g, config.links_per_node, rng)
         node = g.add_node()
         for v in sorted(targets):
             g.add_edge(node, v)
-        if observer is not None:
-            observer(step, g)
+        observer(step, g)
     return g

@@ -33,9 +33,7 @@ from typing import NamedTuple, Sequence
 
 from .ba import BAConfig
 from .errors import EdgeListParseError, NotConvergedError
-from .experiment import (
-    RNG_NAME, SWEPT, run_ba_condition, run_sweep, run_ws_condition, sweep_conditions
-)
+from .experiment import RNG_NAME, SWEPT, run_ba_condition, run_sweep, run_ws_condition
 from .graph import degree_stats, parse_edge_list
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
@@ -254,36 +252,41 @@ def cmd_run(args: argparse.Namespace, power: PowerIterationConfig, workers: int)
 def cmd_sweep(args: argparse.Namespace, power: PowerIterationConfig, workers: int) -> int:
     """``sweep``: one condition per value of the swept parameter, a row each.
 
-    The base config's swept field holds a placeholder that ``run_sweep``
-    replaces per condition, so the echoed config leaves it out.
+    Each value is read and built into its condition, and so checked, before
+    the seed is drawn. The echoed config leaves out the swept field, which
+    the rows report.
     """
-    values: list[float] = []
-    for entry in filter(str.strip, args.values.split(",")):
-        try:
-            values.append(float(entry))
-        except ValueError:
-            message = f"--values must be comma-separated numbers, got {entry.strip()!r}"
-            raise ValueError(message) from None
-    base: BAConfig | WSConfig
     if args.model == "ba":
         if args.initial is None or args.total is None:
             raise ValueError("model 'ba' needs --initial and --total")
         if args.ring is not None:
             raise ValueError("model 'ba' takes no --ring")
-        base = BAConfig(initial_nodes=args.initial, total_nodes=args.total, links_per_node=1)
     else:
         if args.ring is None:
             raise ValueError("model 'ws' needs --ring")
         if args.initial is not None or args.total is not None:
             raise ValueError("model 'ws' takes no --initial or --total")
-        base = WSConfig(nodes_per_ring=args.ring, rewiring_probability=0.0)
-    sweep_conditions(base, values)  # every condition is checked before a seed is drawn
+    conditions: list[BAConfig | WSConfig] = []
+    for entry in filter(str.strip, args.values.split(",")):
+        try:
+            value = float(entry)
+        except ValueError:
+            message = f"--values must be comma-separated numbers, got {entry.strip()!r}"
+            raise ValueError(message) from None
+        if args.model == "ws":
+            conditions.append(WSConfig(args.ring, value))
+        elif value.is_integer():
+            conditions.append(BAConfig(args.initial, args.total, int(value)))
+        else:
+            raise ValueError(f"links-per-node sweep values must be integers, got {value}")
+    if not conditions:
+        raise ValueError("at least one sweep value is required")
     seed = _master_seed(args)
-    rows = run_sweep(base, values, args.runs, seed, power, workers=workers)
+    rows = run_sweep(conditions, args.runs, seed, power, workers=workers)
 
-    swept = SWEPT[type(base)]
-    config = {k: v for k, v in dataclasses.asdict(base).items() if k != swept}
-    head = {"model": args.model, "config": config, "sweep": values}
+    swept = SWEPT[type(conditions[0])]
+    config = {k: v for k, v in dataclasses.asdict(conditions[0]).items() if k != swept}
+    head = {"model": args.model, "config": config, "sweep": [row.param for row in rows]}
     tail = {"rows": [row._asdict() for row in rows]}
     files = {
         f"sweep_{args.model}.csv": _csv(rows),

@@ -16,7 +16,6 @@ order, so every result is the same for any worker count.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 import signal
@@ -41,7 +40,7 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 def _run_one(
     evolve: Callable[..., Graph], config: BAConfig | WSConfig, master_seed: int,
-    power: PowerIterationConfig | None, i: int,
+    power: PowerIterationConfig, i: int,
 ) -> list[EvolutionRecord]:
     """Run i: evolve on seed ``derive_seed(master_seed, i)``, snapshotting
     every step the model reports."""
@@ -56,7 +55,7 @@ def _run_series(
     config: BAConfig | WSConfig,
     runs: int,
     master_seed: int,
-    power: PowerIterationConfig | None,
+    power: PowerIterationConfig,
     workers: int = 1,
 ) -> list[list[EvolutionRecord]]:
     """The records of runs 0 .. ``runs`` - 1, in run order.
@@ -116,7 +115,7 @@ def run_ba_condition(
     config: BAConfig,
     runs: int,
     master_seed: int,
-    power: PowerIterationConfig | None = None,
+    power: PowerIterationConfig = PowerIterationConfig(),
     *,
     workers: int = 1,
 ) -> tuple[AveragedSummary, list[list[EvolutionRecord]]]:
@@ -133,7 +132,7 @@ def run_ws_condition(
     config: WSConfig,
     runs: int,
     master_seed: int,
-    power: PowerIterationConfig | None = None,
+    power: PowerIterationConfig = PowerIterationConfig(),
     *,
     workers: int = 1,
 ) -> tuple[AveragedSummary, list[list[EvolutionRecord]]]:
@@ -153,53 +152,33 @@ class SweepRow(NamedTuple):
     runs: int
 
 
-# The config field a sweep sets to each of its values, per model.
+# The config field that a sweep varies and its rows report, per model.
 SWEPT = {BAConfig: "links_per_node", WSConfig: "rewiring_probability"}
 
 
-def _condition(base: BAConfig | WSConfig, value: float) -> BAConfig | WSConfig:
-    cast = int if isinstance(base, BAConfig) else float
-    if cast is int and not float(value).is_integer():
-        raise ValueError(f"links-per-node sweep values must be integers, got {value}")
-    return dataclasses.replace(base, **{SWEPT[type(base)]: cast(value)})
-
-
-def sweep_conditions(
-    base_config: BAConfig | WSConfig, values: tuple[float, ...] | list[float]
-) -> list[BAConfig | WSConfig]:
-    """One config per sweep value: ``base_config`` with its swept field set to
-    the value, and so checked. Raises ValueError for an empty sweep or for a
-    value the swept field does not take."""
-    if not values:
-        raise ValueError("at least one sweep value is required")
-    return [_condition(base_config, value) for value in values]
-
-
 def run_sweep(
-    base_config: BAConfig | WSConfig,
-    values: tuple[float, ...] | list[float],
+    conditions: list[BAConfig | WSConfig],
     runs: int,
     master_seed: int,
-    power: PowerIterationConfig | None = None,
+    power: PowerIterationConfig = PowerIterationConfig(),
     *,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Run one condition per value of the swept parameter: links per node for
-    growth, rewiring probability for the lattice.
+    """Run each condition in turn, by ``run_ba_condition`` or
+    ``run_ws_condition`` as its type says, and summarize it in one row.
 
-    Every condition is built by ``sweep_conditions``, and so validated, before
-    the first one runs. Condition i runs on master seed
-    ``derive_seed(master_seed, i)``, so adding or removing conditions never
-    perturbs the others.
+    A row's ``param`` is the condition's value of the field ``SWEPT`` names
+    for its type: links per node for growth, rewiring probability for the
+    lattice. Condition i runs on master seed ``derive_seed(master_seed, i)``,
+    so adding or removing conditions never perturbs the others.
     """
-    conditions = sweep_conditions(base_config, values)
-    run = run_ba_condition if isinstance(base_config, BAConfig) else run_ws_condition
     rows: list[SweepRow] = []
-    for i, (value, config) in enumerate(zip(values, conditions)):
+    for i, config in enumerate(conditions):
+        run = run_ba_condition if isinstance(config, BAConfig) else run_ws_condition
         summary, _ = run(config, runs, derive_seed(master_seed, i), power, workers=workers)
         rows.append(
             SweepRow(
-                param=float(value),
+                param=float(getattr(config, SWEPT[type(config)])),
                 mean_lambda_ratio=summary.mean_lambda_ratio,
                 mean_cv=summary.mean_cv,
                 mean_correlation=summary.mean_correlation,

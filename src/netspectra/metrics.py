@@ -35,7 +35,9 @@ class EvolutionRecord(NamedTuple):
     cv: float
 
 
-def snapshot(g: Graph, step: int, config: PowerIterationConfig | None = None) -> EvolutionRecord:
+def snapshot(
+    g: Graph, step: int, config: PowerIterationConfig = PowerIterationConfig()
+) -> EvolutionRecord:
     """Measure ``g`` as it stands and stamp the record with ``step``."""
     stats = degree_stats(g)
     return EvolutionRecord(

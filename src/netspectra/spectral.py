@@ -236,7 +236,9 @@ def _start_vector(g: Graph, connected: bool) -> np.ndarray:
     return np.ones(n, dtype=np.float64)
 
 
-def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> SpectralResult:
+def power_iteration(
+    g: Graph, config: PowerIterationConfig = PowerIterationConfig()
+) -> SpectralResult:
     """Largest adjacency eigenvalue of ``g`` and its eigenvector.
 
     Starts from the graph's last converged iterate (``Graph.warm``), or
@@ -255,8 +257,6 @@ def power_iteration(g: Graph, config: PowerIterationConfig | None = None) -> Spe
     NotConvergedError when it exhausts its budget. The error carries that
     attempt's result, whose iterations never exceed ``max_iterations``.
     """
-    if config is None:
-        config = PowerIterationConfig()
     n = g.node_count
     if n == 0:
         raise GraphError("power iteration needs at least one node")
@@ -301,7 +301,7 @@ def lambda_ratio(stats: DegreeStats, solve: Callable[[], SpectralResult]) -> flo
 
 def spectral_radius_ratio(
     g: Graph,
-    config: PowerIterationConfig | None = None,
+    config: PowerIterationConfig = PowerIterationConfig(),
     stats: DegreeStats | None = None,
 ) -> float:
     """Spectral radius divided by mean degree, by ``lambda_ratio``'s rule.

@@ -90,7 +90,7 @@ def ws_rewire(
     g: Graph,
     config: WSConfig,
     rng: np.random.Generator,
-    observer: Observer | None = None,
+    observer: Observer = lambda step, graph: None,
 ) -> list[RewireEvent]:
     """Apply the rewiring sweep to a freshly built lattice, in place.
 
@@ -102,9 +102,10 @@ def ws_rewire(
 
     Returns the events in order. ``observer(step, graph)`` runs after each
     completed rewire (not after such an event) with the mutated graph, step
-    k after the k-th completed rewire. At probability zero the sweep returns
-    immediately and consumes no randomness, so the lattice is untouched by
-    construction rather than by chance.
+    k after the k-th completed rewire; by default it does nothing. At
+    probability zero the sweep returns immediately and consumes no
+    randomness, so the lattice is untouched by construction rather than by
+    chance.
     """
     if g.node_count != 2 * config.nodes_per_ring:
         raise ValueError(
@@ -129,24 +130,22 @@ def ws_rewire(
         g.add_edge(u, w)
         events.append(RewireEvent((u, v), _ordered(u, w)))
         steps += 1
-        if observer is not None:
-            observer(steps, g)
+        observer(steps, g)
     return events
 
 
 def ws_evolve(
     config: WSConfig,
     rng: np.random.Generator,
-    observer: Observer | None = None,
+    observer: Observer = lambda step, graph: None,
 ) -> Graph:
     """Build a lattice, apply the rewiring sweep to it and return it.
 
     ``observer`` sees the pristine lattice as step 0, then ``ws_rewire``
     passes it the graph as step k after the k-th completed rewire; an event
-    whose ``new_edge`` is None is not a step.
+    whose ``new_edge`` is None is not a step. By default it does nothing.
     """
     g = ws_initialize(config)
-    if observer is not None:
-        observer(0, g)
+    observer(0, g)
     ws_rewire(g, config, rng, observer)
     return g

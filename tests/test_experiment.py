@@ -11,6 +11,7 @@ from netspectra import (
     run_ws_condition,
     snapshot,
 )
+from netspectra.cli import main
 from netspectra.experiment import derive_seed
 
 
@@ -36,13 +37,9 @@ def test_run_seeds():
 def test_experiment_config_validation():
     ba = BAConfig(3, 10, 2)
     with pytest.raises(ValueError):
-        run_sweep(ba, (), runs=1, master_seed=0)
+        run_sweep([ba], runs=0, master_seed=0)
     with pytest.raises(ValueError):
-        run_sweep(ba, (2,), runs=0, master_seed=0)
-    with pytest.raises(ValueError):
-        run_sweep(ba, (2,), runs=1, master_seed=-1)
-    with pytest.raises(ValueError):
-        run_sweep(WSConfig(5, 0.5), (0.5, -0.1), runs=1, master_seed=0)
+        run_sweep([ba], runs=1, master_seed=-1)
 
 
 def test_ba_series_grid_and_reproducibility():
@@ -103,7 +100,7 @@ def test_ws_condition_summary_shape():
 
 
 def test_ba_table_rows():
-    rows = run_sweep(BAConfig(3, 30, 2), (2, 3), runs=2, master_seed=21)
+    rows = run_sweep([BAConfig(3, 30, 2), BAConfig(3, 30, 3)], runs=2, master_seed=21)
     assert [r.param for r in rows] == [2.0, 3.0]
     assert all(r.runs == 2 for r in rows)
     assert all(r.mean_lambda_ratio > 1.0 for r in rows)
@@ -112,23 +109,30 @@ def test_ba_table_rows():
 
 
 def test_ba_table_conditions_keyed_by_position():
-    both = run_sweep(BAConfig(3, 30, 2), (2, 3), runs=2, master_seed=21)
-    alone = run_sweep(BAConfig(3, 30, 2), (2,), runs=2, master_seed=21)
+    both = run_sweep([BAConfig(3, 30, 2), BAConfig(3, 30, 3)], runs=2, master_seed=21)
+    alone = run_sweep([BAConfig(3, 30, 2)], runs=2, master_seed=21)
+    swapped = run_sweep([BAConfig(3, 30, 3), BAConfig(3, 30, 2)], runs=2, master_seed=21)
     assert both[0] == alone[0]
+    assert swapped[1] != both[0] and swapped[1].param == both[0].param
 
 
-def test_ba_table_rejects_fractional_links():
-    with pytest.raises(ValueError):
-        run_sweep(BAConfig(3, 10, 2), (2.5,), runs=1, master_seed=0)
+def test_ba_table_rejects_fractional_links(tmp_path, capsys):
+    assert main(["sweep", "--model", "ba", "--values", "2.5", "--initial", "3", "--total", "10",
+                 "--seed", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: links-per-node sweep values must be integers, got 2.5\n"
+    )
 
 
-def test_ba_table_requires_sweep():
-    with pytest.raises(ValueError):
-        run_sweep(BAConfig(3, 10, 2), (), runs=1, master_seed=0)
+def test_ba_table_requires_sweep(tmp_path, capsys):
+    assert run_sweep([], runs=1, master_seed=0) == []
+    assert main(["sweep", "--model", "ba", "--values", " , ", "--initial", "3", "--total", "10",
+                 "--seed", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: at least one sweep value is required\n"
 
 
 def test_ws_sweep_rows():
-    rows = run_sweep(WSConfig(10, 0.0), (0.0, 0.6), runs=2, master_seed=33)
+    rows = run_sweep([WSConfig(10, 0.0), WSConfig(10, 0.6)], runs=2, master_seed=33)
     assert [r.param for r in rows] == [0.0, 0.6]
     assert rows[0].mean_lambda_ratio == 1.0
     assert rows[0].mean_cv == 0.0
@@ -138,21 +142,27 @@ def test_ws_sweep_rows():
 
 
 def test_ws_sweep_validates_probability():
-    with pytest.raises(ValueError):
-        run_sweep(WSConfig(10, 0.0), (1.5,), runs=1, master_seed=0)
+    with pytest.raises(ValueError, match="rewiring_probability must be in"):
+        WSConfig(10, 1.5)
 
 
 @pytest.mark.parametrize(
     "base, values, condition",
     [
-        (BAConfig(3, 400, 2), (2, 3, 2.5), "run_ba_condition"),
-        (BAConfig(3, 400, 2), (2, 3, 0), "run_ba_condition"),
-        (WSConfig(50, 0.0), (0.5, 1.0, 1.5), "run_ws_condition"),
+        (["--model", "ba", "--initial", "3", "--total", "400"], (2, 3, 2.5), "run_ba_condition"),
+        (["--model", "ba", "--initial", "3", "--total", "400"], (2, 3, 0), "run_ba_condition"),
+        (["--model", "ws", "--ring", "50"], (0.5, 1.0, 1.5), "run_ws_condition"),
     ],
 )
-def test_sweep_validates_every_value_before_running(monkeypatch, base, values, condition):
+def test_sweep_validates_every_value_before_running(
+    monkeypatch, tmp_path, capsys, base, values, condition
+):
+    # Without --seed a passing check would print the seed it draws on stdout.
     calls = []
     monkeypatch.setattr(netspectra.experiment, condition, lambda *args: calls.append(args))
-    with pytest.raises(ValueError):
-        run_sweep(base, values, runs=3, master_seed=0)
+    values_flag = ",".join(map(str, values))
+    assert main(["sweep", *base, "--values", values_flag, "--runs", "3",
+                 "--out", str(tmp_path)]) == 1
     assert calls == []
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -28,6 +28,7 @@ def test_new_graph_is_empty():
     assert g.node_count == 4
     assert g.edge_count == 0
     assert g.degrees() == [0, 0, 0, 0]
+    assert repr(g) == "Graph(nodes=4, edges=0)"
 
 
 def test_negative_node_count_rejected():
