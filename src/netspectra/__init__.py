@@ -7,7 +7,7 @@ grows by preferential attachment or is rewired from a regular lattice.
 
 from .ba import BAConfig, ba_evolve
 from .errors import EdgeListParseError, GraphError, NetspectraError, NotConvergedError
-from .experiment import SweepRow, run_ba_condition, run_sweep, run_ws_condition
+from .experiment import SweepRow, run_condition, run_sweep
 from .graph import DegreeStats, Graph, degree_stats, parse_edge_list
 from .metrics import (
     AveragedSummary,
@@ -45,9 +45,8 @@ __all__ = [
     "parse_edge_list",
     "pearson",
     "power_iteration",
-    "run_ba_condition",
+    "run_condition",
     "run_sweep",
-    "run_ws_condition",
     "snapshot",
     "spectral_radius_ratio",
     "ws_evolve",

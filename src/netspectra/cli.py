@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 from .ba import BAConfig
 from .errors import EdgeListParseError, NotConvergedError
-from .experiment import RNG_NAME, SWEPT, run_ba_condition, run_sweep, run_ws_condition
+from .experiment import RNG_NAME, SWEPT, run_condition, run_sweep
 from .graph import degree_stats, parse_edge_list
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
@@ -218,13 +218,11 @@ def cmd_run(args: argparse.Namespace, power: PowerIterationConfig, workers: int)
             initial_nodes=args.initial, total_nodes=args.total, links_per_node=args.links
         )
         label = f"n0={config.initial_nodes} n={config.total_nodes} m={config.links_per_node}"
-        run = run_ba_condition
     else:
         config = WSConfig(nodes_per_ring=args.ring, rewiring_probability=args.beta)
         label = f"ring={config.nodes_per_ring} beta={config.rewiring_probability}"
-        run = run_ws_condition
     seed = _master_seed(args)
-    summary, series = run(config, args.runs, seed, power, workers=workers)
+    summary, series = run_condition(config, args.runs, seed, power, workers=workers)
 
     # Rewiring runs differ in length and have no per-step means, so their
     # time series file holds the first run only; the JSON carries the

@@ -2,8 +2,9 @@
 
 Both models evolve through one protocol, ``evolve(config, rng, observer)``,
 which reports the starting graph and every later step to the observer as
-``observer(step, graph)``; one runner turns a condition into one list of
-``EvolutionRecord`` snapshots per run.
+``observer(step, graph)``. One runner, ``run_condition``, serves both: the
+config's type picks the model and its summary, and every run becomes one
+list of ``EvolutionRecord`` snapshots.
 
 Reproducibility scheme: one master seed per experiment. Every run gets its
 own generator seeded from the master through a spawn key, so runs are
@@ -45,6 +46,7 @@ def _run_one(
     """Run i: evolve on seed ``derive_seed(master_seed, i)``, snapshotting
     every step the model reports."""
     records: list[EvolutionRecord] = []
+    # Seeded in the process that runs i, so a forking caller need not load numpy.random (~6 MB).
     rng = np.random.default_rng(derive_seed(master_seed, i))
     evolve(config, rng, lambda step, g: records.append(snapshot(g, step, power)))
     return records
@@ -111,35 +113,30 @@ def _run_series(
     return [results[i] for i in range(runs)]
 
 
-def run_ba_condition(
-    config: BAConfig,
+def run_condition(
+    config: BAConfig | WSConfig,
     runs: int,
     master_seed: int,
     power: PowerIterationConfig = PowerIterationConfig(),
     *,
     workers: int = 1,
 ) -> tuple[AveragedSummary, list[list[EvolutionRecord]]]:
-    """One growth condition, averaged per step across runs.
+    """One condition's runs, evolved by the model its config's type names,
+    and their summary.
 
-    Growth runs share the step grid by construction, so per-step means are
-    always available here.
+    Growth runs share the step grid by construction, so their summary holds
+    per-step means. Rewiring runs complete different numbers of rewires, so
+    theirs holds final-state means only and ``per_step`` is None, even when
+    every run happens to take the same number of steps.
     """
-    series = _run_series(ba_evolve, config, runs, master_seed, power, workers)
-    return average_runs(series), series
+    ba = isinstance(config, BAConfig)
+    evolve, summarize = (ba_evolve, average_runs) if ba else (ws_evolve, summarize_final)
+    series = _run_series(evolve, config, runs, master_seed, power, workers)
+    return summarize(series), series
 
 
-def run_ws_condition(
-    config: WSConfig,
-    runs: int,
-    master_seed: int,
-    power: PowerIterationConfig = PowerIterationConfig(),
-    *,
-    workers: int = 1,
-) -> tuple[AveragedSummary, list[list[EvolutionRecord]]]:
-    """One rewiring condition. Runs complete different numbers of rewires, so
-    only final-state means are reported."""
-    series = _run_series(ws_evolve, config, runs, master_seed, power, workers)
-    return summarize_final(series), series
+# Former names, kept because the benchmark probe (perfbench/probe.py) hooks them.
+run_ba_condition = run_ws_condition = run_condition
 
 
 class SweepRow(NamedTuple):
@@ -164,8 +161,8 @@ def run_sweep(
     *,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Run each condition in turn, by ``run_ba_condition`` or
-    ``run_ws_condition`` as its type says, and summarize it in one row.
+    """Run each condition in turn by ``run_condition`` and summarize it in
+    one row.
 
     A row's ``param`` is the condition's value of the field ``SWEPT`` names
     for its type: links per node for growth, rewiring probability for the
@@ -174,8 +171,8 @@ def run_sweep(
     """
     rows: list[SweepRow] = []
     for i, config in enumerate(conditions):
-        run = run_ba_condition if isinstance(config, BAConfig) else run_ws_condition
-        summary, _ = run(config, runs, derive_seed(master_seed, i), power, workers=workers)
+        seed = derive_seed(master_seed, i)
+        summary, _ = run_condition(config, runs, seed, power, workers=workers)
         rows.append(
             SweepRow(
                 param=float(getattr(config, SWEPT[type(config)])),

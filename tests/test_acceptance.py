@@ -6,14 +6,14 @@ pytest -s or -rP; pytest -v reports the pass/fail verdict per criterion either
 way). The heavy multi-run conditions are computed once in module fixtures and
 shared between the tests that grade them.
 
-The model conditions run through the library's own runners,
-run_ba_condition and run_ws_condition, and are graded on the summaries they
-return. The degree bound k_avg <= sqrt(<k**2>) <= radius <= k_max has to hold
-not just on random graphs but on every graph those runs generate, so the
-module-scoped checked_snapshots fixture wraps netspectra.experiment.snapshot,
-which the runners look up at every step, and asserts the bound and the degree
-sum on each graph they snapshot. The checks draw no randomness, so the
-wrapped runs return exactly what the unwrapped runners do for the same seeds.
+The model conditions run through the library's own runner, run_condition,
+and are graded on the summaries it returns. The degree bound
+k_avg <= sqrt(<k**2>) <= radius <= k_max has to hold not just on random
+graphs but on every graph those runs generate, so the module-scoped
+checked_snapshots fixture wraps netspectra.experiment.snapshot, which the
+runner looks up at every step, and asserts the bound and the degree sum on
+each graph it snapshots. The checks draw no randomness, so the wrapped runs
+return exactly what the unwrapped runner does for the same seeds.
 """
 
 import math
@@ -27,8 +27,7 @@ from netspectra import (
     WSConfig,
     degree_stats,
     power_iteration,
-    run_ba_condition,
-    run_ws_condition,
+    run_condition,
     snapshot,
     spectral_radius_ratio,
 )
@@ -60,7 +59,7 @@ def assert_degree_bound(g, radius):
 
 @pytest.fixture(scope="module")
 def checked_snapshots():
-    """Wrap the runners' snapshot with the degree-sum and degree-bound checks;
+    """Wrap the runner's snapshot with the degree-sum and degree-bound checks;
     yields a one-item list counting the graphs checked."""
     checked = [0]
 
@@ -91,7 +90,7 @@ def run_checked(checked, run, config, runs, master_seed):
 @pytest.fixture(scope="module")
 def small_growth(checked_snapshots):
     """links_per_node 2, 5, 90 at 100 nodes, 100 runs each, keyed by m."""
-    return {m: run_checked(checked_snapshots, run_ba_condition, BAConfig(3, 100, m),
+    return {m: run_checked(checked_snapshots, run_condition, BAConfig(3, 100, m),
                            100, seed)
             for m, seed in SMALL_GROWTH_SEEDS.items()}
 
@@ -100,7 +99,7 @@ def small_growth(checked_snapshots):
 def rewire_sweep(checked_snapshots):
     """Rewiring at N=50 for probabilities 0.5 and 1.0, 100 runs each, keyed
     by probability."""
-    return {beta: run_checked(checked_snapshots, run_ws_condition, WSConfig(50, beta), 100, seed)
+    return {beta: run_checked(checked_snapshots, run_condition, WSConfig(50, beta), 100, seed)
             for beta, seed in REWIRE_SWEEP_SEEDS.items()}
 
 
@@ -122,7 +121,7 @@ def test_01_radius_bounded_by_degree_extremes(small_growth, rewire_sweep):
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"[criterion 1] PASS degree bound held on 1000 random graphs in "
-          f"{elapsed:.1f}s and on every graph the runners snapshot "
+          f"{elapsed:.1f}s and on every graph the runner snapshots "
           f"(criteria 3, 4, 6, 7, 8)")
 
 
@@ -163,7 +162,7 @@ def test_03_small_network_growth_means(small_growth):
 
 
 def test_04_large_network_growth_means(checked_snapshots):
-    summary, _, elapsed = run_checked(checked_snapshots, run_ba_condition,
+    summary, _, elapsed = run_checked(checked_snapshots, run_condition,
                                       BAConfig(3, 1000, 2), 20, LARGE_GROWTH_SEED)
     assert abs(summary.mean_lambda_ratio - 2.63) <= 0.20
     assert abs(summary.mean_cv - 1.31) <= 0.15
@@ -186,7 +185,7 @@ def test_05_growth_tracks_dispersion(small_growth):
 def test_06_unrewired_lattice_is_exactly_regular(checked_snapshots):
     config = WSConfig(50, 0.0)
     assert spectral_radius_ratio(ws_initialize(config)) == 1.0
-    _, series, _ = run_checked(checked_snapshots, run_ws_condition, config, 20,
+    _, series, _ = run_checked(checked_snapshots, run_condition, config, 20,
                                LATTICE_EXACT_SEED)
     assert len(series) == 20
     for ts in series:
@@ -208,7 +207,7 @@ def test_07_rewired_lattice_means(rewire_sweep):
 
 
 def test_08_rewiring_tracks_dispersion_every_run(checked_snapshots):
-    _, series, _ = run_checked(checked_snapshots, run_ws_condition,
+    _, series, _ = run_checked(checked_snapshots, run_condition,
                                WSConfig(50, 0.5), 20, REWIRE_CORR_SEED)
     corrs = run_correlations(series)
     assert all(c is not None for c in corrs)

@@ -315,7 +315,7 @@ def test_graph_error_escaping_a_command_exits_1_with_one_line(tmp_path, capsys, 
     def refuse(*args, **kwargs):
         raise GraphError("edge 0-1 not present")
 
-    monkeypatch.setattr(cli, "run_ba_condition", refuse)
+    monkeypatch.setattr(cli, "run_condition", refuse)
     assert main([*BA_SMALL, "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: edge 0-1 not present\n"

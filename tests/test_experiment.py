@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,8 @@ from netspectra import (
     BAConfig,
     WSConfig,
     ba_evolve,
-    run_ba_condition,
+    run_condition,
     run_sweep,
-    run_ws_condition,
     snapshot,
 )
 from netspectra.cli import main
@@ -25,7 +26,7 @@ def test_derive_seed_is_stable():
 def test_run_seeds():
     # run i of a condition is the model evolved on derive_seed(master, i)
     cfg = BAConfig(initial_nodes=3, total_nodes=20, links_per_node=2)
-    _, series = run_ba_condition(cfg, 4, master_seed=7)
+    _, series = run_condition(cfg, 4, master_seed=7)
     for i, run in enumerate(series):
         alone = []
         rng = np.random.default_rng(derive_seed(7, i))
@@ -44,9 +45,9 @@ def test_experiment_config_validation():
 
 def test_ba_series_grid_and_reproducibility():
     cfg = BAConfig(initial_nodes=3, total_nodes=20, links_per_node=2)
-    _, a = run_ba_condition(cfg, 3, master_seed=5)
-    _, b = run_ba_condition(cfg, 3, master_seed=5)
-    _, c = run_ba_condition(cfg, 3, master_seed=6)
+    _, a = run_condition(cfg, 3, master_seed=5)
+    _, b = run_condition(cfg, 3, master_seed=5)
+    _, c = run_condition(cfg, 3, master_seed=6)
     assert len(a) == 3
     for run in a:
         assert [r.step for r in run] == list(range(2, 20))
@@ -57,13 +58,13 @@ def test_ba_series_grid_and_reproducibility():
 
 def test_runs_differ_from_each_other():
     cfg = BAConfig(initial_nodes=3, total_nodes=20, links_per_node=2)
-    _, series = run_ba_condition(cfg, 2, master_seed=5)
+    _, series = run_condition(cfg, 2, master_seed=5)
     assert series[0] != series[1]
 
 
 def test_ws_series_counts_completed_rewires():
     cfg = WSConfig(nodes_per_ring=10, rewiring_probability=0.5)
-    _, series = run_ws_condition(cfg, 3, master_seed=9)
+    _, series = run_condition(cfg, 3, master_seed=9)
     for run in series:
         assert [r.step for r in run] == list(range(len(run)))
         assert run[0].lambda_ratio == 1.0
@@ -73,14 +74,14 @@ def test_ws_series_counts_completed_rewires():
 
 def test_ws_series_reproducible():
     cfg = WSConfig(nodes_per_ring=8, rewiring_probability=0.7)
-    _, a = run_ws_condition(cfg, 2, master_seed=3)
-    _, b = run_ws_condition(cfg, 2, master_seed=3)
+    _, a = run_condition(cfg, 2, master_seed=3)
+    _, b = run_condition(cfg, 2, master_seed=3)
     assert a == b
 
 
 def test_ba_condition_summary_shape():
     cfg = BAConfig(initial_nodes=3, total_nodes=25, links_per_node=2)
-    summary, series = run_ba_condition(cfg, 4, master_seed=11)
+    summary, series = run_condition(cfg, 4, master_seed=11)
     assert summary.runs == 4
     assert len(series) == 4
     per_step = summary.per_step
@@ -92,11 +93,20 @@ def test_ba_condition_summary_shape():
 
 def test_ws_condition_summary_shape():
     cfg = WSConfig(nodes_per_ring=8, rewiring_probability=0.5)
-    summary, series = run_ws_condition(cfg, 3, master_seed=2)
+    summary, series = run_condition(cfg, 3, master_seed=2)
     assert summary.runs == 3
     assert len(series) == 3
     assert summary.per_step is None
     assert summary.mean_lambda_ratio > 1.0
+
+
+def test_summary_follows_the_model_not_the_step_grid():
+    # at probability 1 every rewire completes, so the runs share one step
+    # grid; a rewiring condition still reports final-state means only
+    summary, series = run_condition(WSConfig(8, 1.0), 3, master_seed=2)
+    assert [len(run) for run in series] == [33, 33, 33]
+    assert summary.per_step is None
+    assert summary.mean_lambda_ratio == math.fsum(run[-1].lambda_ratio for run in series) / 3
 
 
 def test_ba_table_rows():
@@ -147,19 +157,17 @@ def test_ws_sweep_validates_probability():
 
 
 @pytest.mark.parametrize(
-    "base, values, condition",
+    "base, values",
     [
-        (["--model", "ba", "--initial", "3", "--total", "400"], (2, 3, 2.5), "run_ba_condition"),
-        (["--model", "ba", "--initial", "3", "--total", "400"], (2, 3, 0), "run_ba_condition"),
-        (["--model", "ws", "--ring", "50"], (0.5, 1.0, 1.5), "run_ws_condition"),
+        (["--model", "ba", "--initial", "3", "--total", "400"], (2, 3, 2.5)),
+        (["--model", "ba", "--initial", "3", "--total", "400"], (2, 3, 0)),
+        (["--model", "ws", "--ring", "50"], (0.5, 1.0, 1.5)),
     ],
 )
-def test_sweep_validates_every_value_before_running(
-    monkeypatch, tmp_path, capsys, base, values, condition
-):
+def test_sweep_validates_every_value_before_running(monkeypatch, tmp_path, capsys, base, values):
     # Without --seed a passing check would print the seed it draws on stdout.
     calls = []
-    monkeypatch.setattr(netspectra.experiment, condition, lambda *args: calls.append(args))
+    monkeypatch.setattr(netspectra.experiment, "run_condition", lambda *args: calls.append(args))
     values_flag = ",".join(map(str, values))
     assert main(["sweep", *base, "--values", values_flag, "--runs", "3",
                  "--out", str(tmp_path)]) == 1

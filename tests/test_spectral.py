@@ -677,9 +677,11 @@ def test_warm_start_with_no_weight_on_any_edge_restarts_cold(n, moved, underflow
 # dense and sparse graphs, warm (non-constant) starts, A + I (shift 1:
 # _iterate gets loop arcs, the oracle the shift) and rescaling on both
 # kernels (M4 steps on rescaled-dense, whose M8 is not exact). The
-# handover-* cases, named before a solve kept one kernel throughout, take
-# budgets of 4 to 17: single sparse multiplies below 16 and dense steps from
-# 16, where the solve stops once another step would pass the budget.
+# handover-* cases sweep the budget from 4 to 17 across the dense kernel's
+# threshold: below 16 a solve takes single sparse multiplies, from 16 dense
+# steps, stopping once another step would pass the budget. Each solve keeps
+# one kernel throughout; the IDs keep the name of an older rule, under which
+# a solve could hand over from one kernel to the other.
 def _iterate_cases():
     rng = np.random.default_rng(31)
     ws = ws_evolve(WSConfig(50, 0.5), np.random.default_rng(32))

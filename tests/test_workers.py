@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import netspectra
-from netspectra import NotConvergedError, PowerIterationConfig, WSConfig, run_ws_condition
+from netspectra import NotConvergedError, PowerIterationConfig, WSConfig, run_condition
 from netspectra import experiment
 from netspectra.cli import entry, main
 
@@ -115,7 +115,7 @@ def test_failing_solve_in_a_worker_exits_3_and_writes_nothing(tmp_path, capfd):
 def test_failing_solve_in_a_worker_raises_its_result():
     config = WSConfig(nodes_per_ring=5, rewiring_probability=0.5)
     with pytest.raises(NotConvergedError) as info:
-        run_ws_condition(config, 4, 1, PowerIterationConfig(max_iterations=1), workers=2)
+        run_condition(config, 4, 1, PowerIterationConfig(max_iterations=1), workers=2)
     assert info.value.result.iterations == 1
     assert_no_child_left()
 
@@ -130,7 +130,7 @@ def test_lowest_failing_run_raises_for_any_worker_count(monkeypatch, workers):
 
     before_each_run(monkeypatch, fail)
     with pytest.raises(ValueError, match="^run 1 failed$"):
-        run_ws_condition(WSConfig(5, 0.5), 4, 1, workers=workers)
+        run_condition(WSConfig(5, 0.5), 4, 1, workers=workers)
     assert_no_child_left()
 
 
@@ -143,7 +143,7 @@ def test_worker_ending_without_its_runs_raises(monkeypatch):
 
     before_each_run(monkeypatch, die)
     with deadline(20), pytest.raises(RuntimeError, match=r"exit statuses \{.*: 9\b"):
-        run_ws_condition(WSConfig(5, 0.5), 4, 1, workers=2)
+        run_condition(WSConfig(5, 0.5), 4, 1, workers=2)
     assert_no_child_left()
 
 
@@ -157,7 +157,7 @@ def test_interrupted_map_kills_and_reaps_its_workers(monkeypatch):
     before_each_run(monkeypatch, stall)
     start = time.monotonic()
     with pytest.raises(TimeoutError), deadline(1):
-        run_ws_condition(WSConfig(5, 0.5), 4, 1, workers=2)
+        run_condition(WSConfig(5, 0.5), 4, 1, workers=2)
     assert time.monotonic() - start < 10  # the stalled workers were not waited for
     assert_no_child_left()
 
@@ -166,7 +166,7 @@ def test_interrupted_map_kills_and_reaps_its_workers(monkeypatch):
 # has results larger than a pipe's buffer and blocks writing them.
 KILLED_CALLER = """
 import time
-from netspectra import WSConfig, experiment, run_ws_condition
+from netspectra import WSConfig, experiment, run_condition
 
 def run_one(*args):
     if args[-1] == 0:
@@ -175,7 +175,7 @@ def run_one(*args):
 
 experiment._run_one = run_one
 print("forking", flush=True)
-run_ws_condition(WSConfig(5, 0.5), 2, 1, workers=2)
+run_condition(WSConfig(5, 0.5), 2, 1, workers=2)
 """
 
 
@@ -199,10 +199,34 @@ def test_killed_caller_leaves_no_worker_behind():
         proc.stdout.close()
 
 
+# Reports whether the caller of a run loaded numpy.random. Its import adds
+# ~6 MB to the resident set of the process that makes it.
+LOADS_NUMPY_RANDOM = """
+import sys
+from netspectra.cli import main
+
+assert main(sys.argv[2:], workers=int(sys.argv[1])) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("workers, loaded", [(1, "True"), (2, "False")])
+def test_forking_caller_never_loads_numpy_random(tmp_path, workers, loaded):
+    # every run is seeded in the process that runs it, so with workers only
+    # the children load the generator module
+    argv = [str(workers), *WS_SMALL, "--runs", "2", "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_NUMPY_RANDOM, *argv],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == loaded
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_uneven_shares_return_the_serial_results(tmp_path, monkeypatch, workers):
     config = WSConfig(10, 0.5)
-    serial = run_ws_condition(config, 5, 3)
+    serial = run_condition(config, 5, 3)
     log = tmp_path / "runs.log"
 
     def record(i):
@@ -210,7 +234,7 @@ def test_uneven_shares_return_the_serial_results(tmp_path, monkeypatch, workers)
             fh.write(f"{os.getpid()} {i}\n")
 
     before_each_run(monkeypatch, record)
-    assert run_ws_condition(config, 5, 3, workers=workers) == serial
+    assert run_condition(config, 5, 3, workers=workers) == serial
     # each run ran once, in one of ``workers`` children and never in the caller
     ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     assert sorted(i for _, i in ran) == list(range(5))
