@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -223,8 +222,7 @@ class Graph:
 Observer = Callable[[int, Graph], None]
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     """Population statistics of a degree sequence.
 
     ``k_sd`` divides the variance by n, not n - 1: the degree sequence is the

@@ -13,7 +13,6 @@ between their trajectories is the headline statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .graph import Graph, degree_stats
@@ -83,8 +82,7 @@ def run_correlations(runs: list[list[EvolutionRecord]]) -> list[float | None]:
     return [pearson([r.lambda_ratio for r in run], [r.cv for r in run]) for run in runs]
 
 
-@dataclass(frozen=True)
-class AveragedSummary:
+class AveragedSummary(NamedTuple):
     """Cross-run means of an experiment condition.
 
     ``mean_lambda_ratio`` and ``mean_cv`` average the final record of each
@@ -117,7 +115,7 @@ def average_runs(runs: list[list[EvolutionRecord]]) -> AveragedSummary:
     for step, records in zip(grid, zip(*runs)):
         _, *columns = zip(*records)
         per_step.append(EvolutionRecord(step, *(math.fsum(c) / summary.runs for c in columns)))
-    return replace(summary, per_step=per_step)
+    return summary._replace(per_step=per_step)
 
 
 def summarize_final(runs: list[list[EvolutionRecord]]) -> AveragedSummary:

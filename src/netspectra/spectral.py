@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,8 +83,7 @@ class PowerIterationConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Outcome of one power-iteration solve.
 
     ``spectral_radius`` and ``residual``, the gap between the last two

@@ -15,6 +15,7 @@ never themselves rewired.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,7 @@ class WSConfig:
             )
 
 
-@dataclass(frozen=True)
-class RewireEvent:
+class RewireEvent(NamedTuple):
     """One probability-draw hit during the sweep.
 
     ``new_edge`` is None when every possible endpoint was already a neighbor

@@ -1,14 +1,25 @@
 """Shared graph builders, edge-list writing and graph comparison, an
-independent spectral radius oracle and frozen copies of earlier solver and
-selection loops for tests."""
+independent spectral radius oracle, frozen copies of earlier solver and
+selection loops, and the environment of child processes for tests."""
 
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 from netspectra import Graph, GraphError
+
+
+def package_env() -> dict[str, str]:
+    """This process's environment, with this checkout's ``src`` first on
+    ``PYTHONPATH``, so that a child process imports the tested package."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def same_graph(a: Graph, b: Graph) -> bool:

@@ -11,12 +11,13 @@ snapshots agree with its dense eigenvalue oracle.
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import package_env
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBE = ROOT / "perfbench" / "probe.py"
@@ -39,12 +40,10 @@ def probe_layers():
 
 def run_probe(tmp_path, cli_args):
     report_path = tmp_path / "report.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(PROBE), str(report_path), "1", "--", *cli_args,
          "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=package_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(report_path.read_text())

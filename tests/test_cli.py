@@ -1,9 +1,7 @@
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -11,7 +9,7 @@ from netspectra import Graph, GraphError, parse_edge_list, snapshot
 from netspectra import cli
 from netspectra.cli import main
 
-from helpers import nearly_bipartite, path_graph, star_graph, write_edge_list
+from helpers import nearly_bipartite, package_env, path_graph, star_graph, write_edge_list
 
 
 def write_graph(tmp_path, g, name="graph.txt"):
@@ -339,15 +337,10 @@ def test_generated_seed_is_printed(tmp_path, capsys):
     assert summary["master_seed"] == seed
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
 def run_cli(args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "netspectra", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=package_env(), capture_output=True, text=True, timeout=120,
     )
 
 

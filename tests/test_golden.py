@@ -10,20 +10,17 @@ one.
 
 import hashlib
 import json
-import os
 import platform
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import netspectra
 from netspectra import BAConfig, ba_evolve
 from netspectra.cli import main
 
-from helpers import write_edge_list
+from helpers import package_env, write_edge_list
 
 # Which solver kernel each command gates: every solve of the first four
 # commands is on at most 128 nodes, where steps multiply by the dense M8 =
@@ -128,12 +125,10 @@ def _kernel_skip_reason(kernel):
 def _run_commands(out, kernel):
     """Run every GOLDEN command in one child process on OpenBLAS ``kernel``
     (None: the one it picks itself), writing into numbered subdirectories."""
-    env = dict(os.environ)
+    env = package_env()
     env.pop("OPENBLAS_CORETYPE", None)
     if kernel is not None:
         env["OPENBLAS_CORETYPE"] = kernel
-    src = str(Path(netspectra.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_COMMANDS, str(out), *sorted(GOLDEN)],
         env=env, capture_output=True, text=True, timeout=300,

@@ -19,15 +19,14 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import netspectra
 from netspectra import NotConvergedError, PowerIterationConfig, WSConfig, run_condition
 from netspectra import experiment
 from netspectra.cli import entry, main
 
+from helpers import package_env
 from test_golden import GOLDEN
 
 WS_SMALL = ["ws", "--ring", "5", "--beta", "0.5", "--seed", "1"]
@@ -42,14 +41,6 @@ def digests(out):
 def run_main(command, out, workers):
     assert main([*command.split(), "--out", str(out)], workers=workers) == 0
     return digests(out)
-
-
-def package_env():
-    """This process's environment, with the tested package importable."""
-    env = dict(os.environ)
-    src = str(Path(netspectra.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def assert_no_child_left():
