@@ -11,6 +11,9 @@ in: all targets of one arrival are drawn against the same snapshot, without
 replacement.
 """
 
+# Load-bearing: it keeps the ``np.random.Generator`` annotations unevaluated.
+# Evaluated, they would import numpy.random (~6 MB) with this module, even in
+# a caller whose runs all go to forked workers.
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -7,10 +7,10 @@ across a list of parameter values. Experiment commands write CSV and JSON
 into the output directory; given the same flags and seed they write the same
 bytes.
 
-Exit codes: 0 success, 1 usage error or unwritable output, 2 unreadable or
-malformed input file, 3 power iteration failed to converge. ``main`` builds
-the solver settings that every command takes, maps every error to its code
-and prints it as one line on stderr.
+Exit codes: 0 success, 1 usage error or unwritable output, 2 an unreadable,
+malformed or empty input file (``EdgeListParseError``), 3 power iteration
+failed to converge. ``main`` builds the solver settings that every command
+takes, maps every error to its code and prints it as one line on stderr.
 
 ``main`` runs a condition's replicates in ``workers`` processes, each a
 forked child running a fixed round-robin share of the runs while the
@@ -56,10 +56,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-class _InputError(Exception):
-    """The input file cannot be read or parsed; the message names the file."""
 
 
 def _fmt(x: float | int | None) -> str:
@@ -172,15 +168,13 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_analyze(args: argparse.Namespace, power: PowerIterationConfig, workers: int) -> int:
     try:
-        text = args.path.read_text()
+        g = parse_edge_list(args.path.read_text())
     except (OSError, UnicodeDecodeError) as exc:
-        raise _InputError(f"cannot read {args.path}: {exc}") from exc
-    try:
-        g = parse_edge_list(text)
+        raise EdgeListParseError(f"cannot read {args.path}: {exc}") from exc
     except EdgeListParseError as exc:
-        raise _InputError(f"{args.path}: {exc}") from exc
+        raise EdgeListParseError(f"{args.path}: {exc}") from exc
     if g.node_count == 0:
-        raise _InputError(f"{args.path}: graph has no nodes")
+        raise EdgeListParseError(f"{args.path}: graph has no nodes")
 
     stats = degree_stats(g)
     print(f"nodes: {g.node_count}")
@@ -346,7 +340,7 @@ def main(argv: Sequence[str] | None = None, *, workers: int = 1) -> int:
     try:
         power = PowerIterationConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
         return args.func(args, power, workers)
-    except _InputError as exc:
+    except EdgeListParseError as exc:
         message, code = str(exc), EXIT_INPUT
     except NotConvergedError as exc:
         message, code = f"error: {exc}", EXIT_NOCONVERGE

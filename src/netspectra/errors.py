@@ -16,7 +16,8 @@ class GraphError(NetspectraError, ValueError):
 
 
 class EdgeListParseError(NetspectraError):
-    """Malformed edge-list input. Carries the offending line number when known."""
+    """Edge-list input that cannot be read or parsed. ``line`` is the number
+    of the line at fault when one line is, else None."""
 
     def __init__(self, message: str, line: int | None = None) -> None:
         self.line = line

@@ -12,6 +12,9 @@ node picked uniformly among non-neighbors. Links created by the sweep are
 never themselves rewired.
 """
 
+# Load-bearing: it keeps the ``np.random.Generator`` annotations unevaluated.
+# Evaluated, they would import numpy.random (~6 MB) with this module, even in
+# a caller whose runs all go to forked workers.
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -147,6 +147,15 @@ def test_analyze_edgeless_graph(tmp_path, capsys):
     assert "undefined (no edges)" in out
 
 
+def test_analyze_graph_without_nodes_exits_2(tmp_path, capsys):
+    path = tmp_path / "none.txt"
+    path.write_text("# nodes: 0\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: graph has no nodes\n"
+
+
 def test_analyze_nonconvergence_exits_3(tmp_path, capsys):
     path = write_graph(tmp_path, path_graph(3))
     assert main(["analyze", str(path), "--max-iterations", "1"]) == 3

@@ -214,6 +214,33 @@ def test_forking_caller_never_loads_numpy_random(tmp_path, workers, loaded):
     assert proc.stdout.splitlines()[-1] == loaded
 
 
+# Reports which of the modules behind a fresh seed the caller of two workers
+# loaded: ``secrets`` imports ``hmac``, which loads OpenSSL (``_hashlib``).
+LOADS_SECRETS = """
+import sys
+from netspectra.cli import main
+
+assert main(sys.argv[1:], workers=2) == 0
+print(*(m for m in ("secrets", "hmac", "_hashlib") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+def test_only_an_unseeded_caller_loads_secrets(tmp_path, seeded):
+    # only a command without --seed draws a master seed from ``secrets``
+    flags = WS_SMALL if seeded else WS_SMALL[:-2]  # without "--seed", "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_SECRETS, *flags, "--runs", "2", "--out", str(tmp_path)],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    if seeded:
+        assert loaded == set()
+    else:
+        assert {"secrets", "hmac"} <= loaded
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_uneven_shares_return_the_serial_results(tmp_path, monkeypatch, workers):
     config = WSConfig(10, 0.5)
